@@ -7,16 +7,24 @@ use dfs_core::perf::{howard::howard_mcr, mcr::maximum_cycle_ratio, EventGraph};
 use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::timed::{measure_throughput, ChoicePolicy};
 use dfs_core::{to_petri, Lts};
-use rap_petri::reachability::{explore, explore_naive_truncated, ExploreConfig};
+use rap_petri::engine::EngineConfig;
+use rap_petri::reachability::{explore, explore_naive};
+
+/// State budget of every exploration here (none of the shapes reach it).
+const MAX_STATES: usize = 10_000_000;
 
 fn bench_reachability(c: &mut Criterion) {
     let p = build_pipeline(&PipelineSpec::reconfigurable_depth(2, 2).unwrap()).unwrap();
     let img = to_petri(&p.dfs);
+    let cfg = EngineConfig {
+        max_states: MAX_STATES,
+        ..EngineConfig::default()
+    };
     c.bench_function("pn_reachability_reconfig_2stage", |b| {
-        b.iter(|| explore(&img.net, ExploreConfig::default()).unwrap().len())
+        b.iter(|| explore(&img.net, &cfg, None).len())
     });
     c.bench_function("direct_lts_reconfig_2stage", |b| {
-        b.iter(|| Lts::explore(&p.dfs, 10_000_000).unwrap().len())
+        b.iter(|| Lts::explore(&p.dfs, &cfg, None).len())
     });
 }
 
@@ -26,17 +34,21 @@ fn bench_reachability(c: &mut Criterion) {
 fn bench_state_space_engine(c: &mut Criterion) {
     let p = build_pipeline(&PipelineSpec::reconfigurable_depth(2, 2).unwrap()).unwrap();
     let img = to_petri(&p.dfs);
+    let cfg = EngineConfig {
+        max_states: MAX_STATES,
+        ..EngineConfig::default()
+    };
     c.bench_function("pn_explore_naive_reconfig_2stage", |b| {
-        b.iter(|| explore_naive_truncated(&img.net, ExploreConfig::default()).len())
+        b.iter(|| explore_naive(&img.net, MAX_STATES).len())
     });
     c.bench_function("pn_explore_engine_reconfig_2stage", |b| {
-        b.iter(|| explore(&img.net, ExploreConfig::default()).unwrap().len())
+        b.iter(|| explore(&img.net, &cfg, None).len())
     });
     c.bench_function("lts_explore_naive_reconfig_2stage", |b| {
-        b.iter(|| Lts::explore_naive_truncated(&p.dfs, 10_000_000).len())
+        b.iter(|| Lts::explore_naive(&p.dfs, MAX_STATES).len())
     });
     c.bench_function("lts_explore_engine_reconfig_2stage", |b| {
-        b.iter(|| Lts::explore_truncated(&p.dfs, 10_000_000).len())
+        b.iter(|| Lts::explore(&p.dfs, &cfg, None).len())
     });
 }
 

@@ -29,7 +29,8 @@ use rap_bench::cli::BenchCli;
 use rap_bench::dse::{design_point, render_json_with_trace, run_sweep_traced, validate};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
-use rap_dse::{explore, DseConfig};
+use rap_dse::{explore_with_session, DseConfig};
+use rap_session::Session;
 use rap_silicon::cost::CostModel;
 
 fn main() {
@@ -125,13 +126,14 @@ fn main() {
         // cross-check the parallel driver against a single-threaded sweep
         // (spanned so a traced run's coverage accounts for this time too)
         let crosscheck_span = sink.obs().span("bench.crosscheck");
-        let serial = explore(
+        let serial = explore_with_session(
             &rap_bench::dse::paper_space(true),
             &CostModel::default(),
             &DseConfig {
                 threads: 1,
                 ..DseConfig::default()
             },
+            &Session::new(),
         );
         drop(crosscheck_span);
         let same = serial.fronts.len() == run.outcome.fronts.len()

@@ -10,7 +10,8 @@ use dfs_core::examples::conditional_dfs;
 use dfs_core::to_petri;
 use rap_bench::banner;
 use rap_bench::cli::BenchCli;
-use rap_petri::reachability::{explore, ExploreConfig};
+use rap_petri::engine::EngineConfig;
+use rap_petri::reachability::explore;
 
 fn main() {
     let cli = BenchCli::parse("fig4_petri_translation", None);
@@ -37,7 +38,8 @@ fn run(cli: &BenchCli) {
     }
 
     // the paper's observation about the choice structure
-    let space = explore(&img.net, ExploreConfig::default()).unwrap();
+    let space = explore(&img.net, &EngineConfig::default(), None);
+    assert!(!space.is_truncated(), "the Fig. 4 net is small");
     let mt = img.net.transition_by_name("Mt_ctrl+").unwrap();
     let mf = img.net.transition_by_name("Mf_ctrl+").unwrap();
     // word-level enabledness probes: one reused buffer, no per-state

@@ -1,8 +1,7 @@
 //! PERF — state-space exploration across pipeline shapes and thread counts.
 //!
-//! Times the retained naive explorers (the seed implementations), the
-//! serial incremental engine, and the parallel engine across a threads
-//! axis, on both backends — Petri-net reachability and the direct-semantics
+//! Times the retained naive explorers (the seed implementations) and the
+//! state-space engine across a threads axis, on both backends — Petri-net reachability and the direct-semantics
 //! LTS — over `reconfigurable_depth(n,k)` pipelines and wagged pipelines.
 //! Wagged shapes additionally record the symmetry-quotient state count.
 //! Prints a table and persists the measurements to
@@ -31,9 +30,9 @@ fn main() {
     let sink = TraceSink::from_cli(&cli);
 
     banner(if quick {
-        "State-space scaling (quick sweep): naive vs serial vs parallel engine"
+        "State-space scaling (quick sweep): naive explorer vs engine"
     } else {
-        "State-space scaling: naive vs serial vs parallel engine"
+        "State-space scaling: naive explorer vs engine"
     });
     let cases = run_sweep_traced(quick, &sink.obs());
 

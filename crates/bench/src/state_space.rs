@@ -5,11 +5,12 @@
 //! the direct-semantics LTS — over `PipelineSpec::reconfigurable_depth`
 //! instances and wagged pipelines. Per case it times:
 //!
-//! * the retained naive explorer (`explore_naive_truncated`,
-//!   `Lts::explore_naive_truncated` — the seed implementations);
-//! * the serial incremental engine (the PR-2 reference);
-//! * the parallel engine across a **threads axis**, asserting on every
-//!   sample that state count and truncation are thread-count-invariant;
+//! * the retained naive explorer (`reachability::explore_naive`,
+//!   `Lts::explore_naive` — the seed implementations);
+//! * the state-space engine across a **threads axis**, asserting on every
+//!   sample that state count and truncation agree with the naive explorer
+//!   (hence are thread-count-invariant); the threads=1 sample is the
+//!   case's `engine_ms`;
 //! * for wagged shapes, the symmetry **quotient** (one state per way-rotation
 //!   orbit), recording the reduced state count — the `quotient_states` axis.
 //!
@@ -21,11 +22,8 @@ use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::wagging::wagged_pipeline;
 use dfs_core::{node_rotation_symmetry, to_petri, Dfs, Lts};
 use rap_obs::{Obs, Snapshot};
-use rap_petri::engine::EngineConfig;
-use rap_petri::reachability::{
-    explore_naive_truncated, explore_quotient_truncated_traced, explore_serial_truncated,
-    explore_truncated_traced, ExploreConfig,
-};
+use rap_petri::engine::{EngineConfig, StateSymmetry};
+use rap_petri::reachability::{explore, explore_naive};
 use std::time::Instant;
 
 /// Schema tag embedded in (and required from) the emitted JSON.
@@ -59,10 +57,10 @@ pub struct Case {
     pub truncated: bool,
     /// Best-of-N wall-clock of the naive (seed) explorer, milliseconds.
     pub naive_ms: f64,
-    /// Best-of-N wall-clock of the serial incremental engine, milliseconds.
+    /// Best-of-N wall-clock of the engine at one thread, milliseconds.
     pub engine_ms: f64,
-    /// Parallel engine across the threads axis (count/truncation asserted
-    /// identical to the serial engine at every point).
+    /// The engine across the threads axis (count/truncation asserted
+    /// identical to the naive explorer at every point).
     pub threads: Vec<ThreadSample>,
     /// Orbit representatives of the symmetry quotient (wagged shapes only).
     pub quotient_states: Option<usize>,
@@ -71,7 +69,7 @@ pub struct Case {
 }
 
 impl Case {
-    /// Naive-over-serial-engine wall-clock ratio.
+    /// Naive-over-engine (one thread) wall-clock ratio.
     #[must_use]
     pub fn speedup(&self) -> f64 {
         self.naive_ms / self.engine_ms
@@ -108,113 +106,102 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     (last.expect("reps >= 1"), best)
 }
 
-fn cfg(threads: usize) -> ExploreConfig {
-    ExploreConfig {
-        max_states: MAX_STATES,
-        threads,
-        deadline: None,
-    }
-}
+/// `(states, truncated)` of one exploration — all the sweep compares.
+type Outcome = (usize, bool);
 
 fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
-    // one span per case; the parallel/quotient explorations below feed
-    // their per-level expand/dedup/commit spans into it, so a traced
+    // one span per case; the engine explorations below feed their
+    // per-level expand/dedup/commit spans into it, so a traced
     // BENCH_state_space.json can attribute each case's time to the
     // engine's phases
     let case_span = obs.span("bench.case.petri");
-    let cobs = case_span.obs();
     let img = to_petri(dfs);
-    let (naive, naive_ms) = best_of(reps, || explore_naive_truncated(&img.net, cfg(1)));
-    let (serial, engine_ms) = best_of(reps, || explore_serial_truncated(&img.net, cfg(1)));
-    assert_eq!(
-        (naive.len(), naive.is_truncated()),
-        (serial.len(), serial.is_truncated()),
-        "{name}: serial engine disagrees with the naive explorer"
-    );
-    let mut threads = Vec::new();
-    for &t in THREADS {
-        let (par, ms) = best_of(reps, || explore_truncated_traced(&img.net, cfg(t), &cobs));
-        assert_eq!(
-            (par.len(), par.is_truncated()),
-            (serial.len(), serial.is_truncated()),
-            "{name}: parallel engine at {t} threads is not thread-count-invariant"
-        );
-        threads.push(ThreadSample { threads: t, ms });
-    }
-    let (quotient_states, quotient_ms) = match way_rotation {
-        Some(perm) => {
-            let sym = img
-                .induced_symmetry(perm)
-                .expect("way rotation induces a net automorphism")
-                .state_symmetry();
-            let (quo, ms) = best_of(reps, || {
-                explore_quotient_truncated_traced(&img.net, cfg(1), &sym, &cobs)
-            });
-            assert!(!quo.is_truncated(), "{name}: quotient truncated");
-            (Some(quo.len()), Some(ms))
-        }
-        None => (None, None),
-    };
-    Case {
-        name: name.to_string(),
-        backend: "petri",
-        states: serial.len(),
-        truncated: serial.is_truncated(),
-        naive_ms,
-        engine_ms,
-        threads,
-        quotient_states,
-        quotient_ms,
-    }
+    let sym = way_rotation.map(|perm| {
+        img.induced_symmetry(perm)
+            .expect("way rotation induces a net automorphism")
+            .state_symmetry()
+    });
+    measure_case(
+        name,
+        "petri",
+        reps,
+        sym.as_ref(),
+        &case_span.obs(),
+        || {
+            let space = explore_naive(&img.net, MAX_STATES);
+            (space.len(), space.is_truncated())
+        },
+        |cfg, sym| {
+            let space = explore(&img.net, cfg, sym);
+            (space.len(), space.is_truncated())
+        },
+    )
 }
 
 fn lts_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, obs: &Obs) -> Case {
     let case_span = obs.span("bench.case.lts");
-    let cobs = case_span.obs();
-    let (naive, naive_ms) = best_of(reps, || Lts::explore_naive_truncated(dfs, MAX_STATES));
-    let (serial, engine_ms) = best_of(reps, || Lts::explore_serial_truncated(dfs, MAX_STATES));
-    assert_eq!(
-        (naive.len(), naive.is_truncated()),
-        (serial.len(), serial.is_truncated()),
-        "{name}: serial engine disagrees with the naive explorer"
-    );
-    let ecfg = |t: usize| EngineConfig {
+    let sym = way_rotation.map(|perm| {
+        node_rotation_symmetry(dfs, perm).expect("way rotation is a structural automorphism")
+    });
+    measure_case(
+        name,
+        "lts",
+        reps,
+        sym.as_ref(),
+        &case_span.obs(),
+        || {
+            let lts = Lts::explore_naive(dfs, MAX_STATES);
+            (lts.len(), lts.is_truncated())
+        },
+        |cfg, sym| {
+            let lts = Lts::explore(dfs, cfg, sym);
+            (lts.len(), lts.is_truncated())
+        },
+    )
+}
+
+/// Times the naive explorer, the engine across [`THREADS`] (recording
+/// into `obs`) and, given a symmetry, the engine's quotient at one thread.
+fn measure_case(
+    name: &str,
+    backend: &'static str,
+    reps: usize,
+    sym: Option<&StateSymmetry>,
+    obs: &Obs,
+    naive: impl Fn() -> Outcome,
+    engine: impl Fn(&EngineConfig, Option<&StateSymmetry>) -> Outcome,
+) -> Case {
+    let cfg = |threads: usize| EngineConfig {
         max_states: MAX_STATES,
-        threads: t,
-        anchor_interval: 0,
-        deadline: None,
+        threads,
+        obs: obs.clone(),
+        ..EngineConfig::default()
     };
+    let (reference, naive_ms) = best_of(reps, &naive);
     let mut threads = Vec::new();
     for &t in THREADS {
-        let (par, ms) = best_of(reps, || {
-            Lts::explore_with_traced(dfs, &ecfg(t), None, &cobs)
-        });
+        let (got, ms) = best_of(reps, || engine(&cfg(t), None));
         assert_eq!(
-            (par.len(), par.is_truncated()),
-            (serial.len(), serial.is_truncated()),
-            "{name}: parallel engine at {t} threads is not thread-count-invariant"
+            got, reference,
+            "{name}: engine at {t} threads disagrees with the naive explorer"
         );
         threads.push(ThreadSample { threads: t, ms });
     }
-    let (quotient_states, quotient_ms) = match way_rotation {
-        Some(perm) => {
-            let sym = node_rotation_symmetry(dfs, perm)
-                .expect("way rotation is a structural automorphism");
-            let (quo, ms) = best_of(reps, || {
-                Lts::explore_with_traced(dfs, &ecfg(1), Some(&sym), &cobs)
-            });
-            assert!(!quo.is_truncated(), "{name}: quotient truncated");
-            (Some(quo.len()), Some(ms))
+    let (quotient_states, quotient_ms) = match sym {
+        Some(sym) => {
+            let ((states, truncated), ms) = best_of(reps, || engine(&cfg(1), Some(sym)));
+            assert!(!truncated, "{name}: quotient truncated");
+            (Some(states), Some(ms))
         }
         None => (None, None),
     };
     Case {
         name: name.to_string(),
-        backend: "lts",
-        states: serial.len(),
-        truncated: serial.is_truncated(),
+        backend,
+        states: reference.0,
+        truncated: reference.1,
         naive_ms,
-        engine_ms,
+        engine_ms: threads[0].ms,
         threads,
         quotient_states,
         quotient_ms,

@@ -104,20 +104,6 @@ impl fmt::Display for DfsError {
 
 impl Error for DfsError {}
 
-impl From<rap_petri::PetriError> for DfsError {
-    fn from(e: rap_petri::PetriError) -> Self {
-        match e {
-            rap_petri::PetriError::StateBudgetExceeded { budget } => {
-                DfsError::StateBudgetExceeded { budget }
-            }
-            other => DfsError::Dsl {
-                line: 0,
-                message: format!("internal Petri-net error: {other}"),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

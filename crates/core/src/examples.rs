@@ -190,6 +190,14 @@ mod tests {
     use super::*;
     use crate::lts::Lts;
     use crate::verify::{verify, VerifyConfig};
+    use rap_petri::engine::EngineConfig;
+
+    fn budget(max_states: usize) -> EngineConfig {
+        EngineConfig {
+            max_states,
+            ..EngineConfig::default()
+        }
+    }
 
     #[test]
     fn both_models_are_deadlock_free() {
@@ -208,7 +216,8 @@ mod tests {
     #[test]
     fn dfs_version_can_bypass_comp() {
         let model = conditional_dfs(2, 3.0).unwrap();
-        let lts = Lts::explore(&model.dfs, 500_000).unwrap();
+        let lts = Lts::explore(&model.dfs, &budget(500_000), None);
+        assert!(!lts.is_truncated());
         let out = model.output;
         let comp_first = model.comp_regs[0];
         // a state where the output token exists while comp never computed:
@@ -266,7 +275,8 @@ mod tests {
     #[test]
     fn sdfs_version_always_computes() {
         let model = conditional_sdfs(2, 3.0).unwrap();
-        let lts = Lts::explore(&model.dfs, 500_000).unwrap();
+        let lts = Lts::explore(&model.dfs, &budget(500_000), None);
+        assert!(!lts.is_truncated());
         // the SDFS output can never mark without comp's last register having
         // been involved: out's mark requires filt evaluated, which requires
         // the comp result — structurally guaranteed; spot-check that comp

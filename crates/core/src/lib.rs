@@ -39,8 +39,9 @@
 //! b.connect(d, a);
 //! let dfs = b.finish()?;
 //!
-//! let lts = Lts::explore(&dfs, 10_000)?;
-//! assert!(lts.deadlocks().is_empty());
+//! let cfg = rap_petri::engine::EngineConfig::default();
+//! let lts = Lts::explore(&dfs, &cfg, None);
+//! assert!(!lts.is_truncated() && lts.deadlocks().is_empty());
 //! # Ok::<(), dfs_core::DfsError>(())
 //! ```
 

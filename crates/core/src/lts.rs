@@ -5,27 +5,25 @@
 //! PN-translation bisimulation tests, and the substrate of the verification
 //! queries that do not go through the Petri-net backend.
 //!
-//! Since PR 2 exploration runs on the shared incremental engine of
-//! [`rap_petri::engine`]: states are packed into two bit-planes (`active`,
-//! `false-valued`) in a dense arena, and after each event only the events of
-//! *dependent* nodes — the event's own node plus everything reading it
-//! through data edges, R-presets/postsets or guards — are re-checked for
-//! enabledness. This PR moves the default path onto the *parallel* engine
-//! with delta-compressed state storage; results are identical at every
-//! thread count (see the engine docs for the determinism contract). The
-//! original explorer is retained as [`Lts::explore_naive_truncated`] for
-//! property-based cross-checking and as the benchmark baseline, and the
-//! serial engine as [`Lts::explore_serial_truncated`].
+//! [`Lts::explore`] runs on the shared state-space engine of
+//! [`rap_petri::engine`] under one [`EngineConfig`]: states are packed into
+//! two bit-planes (`active`, `false-valued`), and after each event only the
+//! events of *dependent* nodes — the event's own node plus everything
+//! reading it through data edges, R-presets/postsets or guards — are
+//! re-checked for enabledness. Results are identical at every thread count
+//! (see the engine docs for the determinism contract). Symmetric models
+//! (wagged replicas) can be explored as a rotation *quotient* by passing a
+//! [`StateSymmetry`] built by [`node_rotation_symmetry`] from a node
+//! permutation.
 //!
-//! Symmetric models (wagged replicas) can be explored as a rotation
-//! *quotient* via [`Lts::explore_with`] and a [`StateSymmetry`] built by
-//! [`node_rotation_symmetry`] from a node permutation.
+//! The original explorer is retained as [`Lts::explore_naive`]: the test
+//! oracle the engine is pinned against state-for-state, and the
+//! `state_space_scaling` baseline.
 
 use crate::graph::Dfs;
 use crate::node::{NodeId, NodeKind, TokenValue};
 use crate::semantics::Event;
 use crate::state::DfsState;
-use crate::DfsError;
 use rap_petri::engine::{
     self, get_bit, set_bit, EngineConfig, ExploredGraph, StateSymmetry, TransitionSystem, NO_PARENT,
 };
@@ -61,86 +59,18 @@ pub struct Lts {
 }
 
 impl Lts {
-    /// Explores the reachable states of `dfs`, up to `max_states`.
+    /// Explores the reachable states of `dfs` on the state-space engine,
+    /// under `cfg`'s budget, parallelism, deadline and recorder —
+    /// optionally as the rotation quotient under `symmetry` (build one with
+    /// [`node_rotation_symmetry`]).
     ///
-    /// # Errors
-    ///
-    /// [`DfsError::StateBudgetExceeded`] when the bound is hit.
-    pub fn explore(dfs: &Dfs, max_states: usize) -> Result<Lts, DfsError> {
-        Self::explore_traced(dfs, max_states, &rap_obs::Obs::none())
-    }
-
-    /// [`Lts::explore`] with a recorder attached: the engine emits its
-    /// per-level spans and counters into `obs` (see
-    /// [`engine::explore_parallel_traced`]). Recording is
-    /// observation-only — the LTS is bit-identical to [`Lts::explore`].
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::StateBudgetExceeded`] when the bound is hit.
-    pub fn explore_traced(
-        dfs: &Dfs,
-        max_states: usize,
-        obs: &rap_obs::Obs,
-    ) -> Result<Lts, DfsError> {
-        let lts = Self::explore_with_traced(
-            dfs,
-            &EngineConfig {
-                max_states,
-                ..EngineConfig::default()
-            },
-            None,
-            obs,
-        );
-        if lts.is_truncated() {
-            return Err(DfsError::StateBudgetExceeded { budget: max_states });
-        }
-        Ok(lts)
-    }
-
-    /// Like [`Lts::explore`] but returns the partial LTS on budget overrun.
+    /// A budget or deadline cut yields the partial LTS, with
+    /// [`Lts::outcome`] reporting the truncation.
     #[must_use]
-    pub fn explore_truncated(dfs: &Dfs, max_states: usize) -> Lts {
-        Self::explore_with(
-            dfs,
-            &EngineConfig {
-                max_states,
-                ..EngineConfig::default()
-            },
-            None,
-        )
-    }
-
-    /// Full-control frontend: explores on the parallel engine with explicit
-    /// [`EngineConfig`] knobs, optionally as the rotation quotient under
-    /// `symmetry` (build one with [`node_rotation_symmetry`]).
-    #[must_use]
-    pub fn explore_with(dfs: &Dfs, cfg: &EngineConfig, symmetry: Option<&StateSymmetry>) -> Lts {
-        Self::explore_with_traced(dfs, cfg, symmetry, &rap_obs::Obs::none())
-    }
-
-    /// [`Lts::explore_with`] with a recorder attached; see
-    /// [`Lts::explore_traced`] for the recording contract.
-    #[must_use]
-    pub fn explore_with_traced(
-        dfs: &Dfs,
-        cfg: &EngineConfig,
-        symmetry: Option<&StateSymmetry>,
-        obs: &rap_obs::Obs,
-    ) -> Lts {
-        let graph = engine::explore_parallel_traced(|| DfsSystem::new(dfs), cfg, symmetry, obs);
+    pub fn explore(dfs: &Dfs, cfg: &EngineConfig, symmetry: Option<&StateSymmetry>) -> Lts {
+        let graph = engine::explore(|| DfsSystem::new(dfs), cfg, symmetry);
         let sys = DfsSystem::new(dfs);
         Self::from_graph(graph, &sys, symmetry.cloned())
-    }
-
-    /// The serial engine (PR 2), kept as a reference implementation: the
-    /// differential suite pins the parallel engine against it
-    /// state-for-state. Use [`Lts::explore_truncated`] everywhere else.
-    #[must_use]
-    pub fn explore_serial_truncated(dfs: &Dfs, max_states: usize) -> Lts {
-        let mut sys = DfsSystem::new(dfs);
-        let graph = engine::explore(&mut sys, max_states);
-        Self::from_graph(graph, &sys, None)
     }
 
     fn from_graph(
@@ -174,14 +104,15 @@ impl Lts {
         }
     }
 
-    /// The original (pre-engine) explorer: `HashMap<DfsState, _>` dedup with
-    /// cloned keys and a full `enabled_events` scan per state.
+    /// The original (pre-engine) explorer, up to `max_states` states:
+    /// `HashMap<DfsState, _>` dedup with cloned keys and a full
+    /// `enabled_events` scan per state.
     ///
     /// Retained as the reference implementation for the engine-equivalence
     /// property tests and the `state_space_scaling` baseline; use
-    /// [`Lts::explore`] / [`Lts::explore_truncated`] everywhere else.
+    /// [`Lts::explore`] everywhere else.
     #[must_use]
-    pub fn explore_naive_truncated(dfs: &Dfs, max_states: usize) -> Lts {
+    pub fn explore_naive(dfs: &Dfs, max_states: usize) -> Lts {
         let s0 = DfsState::initial(dfs);
         let mut index: HashMap<DfsState, LtsStateId> = HashMap::new();
         let mut states = vec![s0.clone()];
@@ -260,7 +191,7 @@ impl Lts {
         self.graph.is_empty()
     }
 
-    /// Was exploration cut short by the state budget?
+    /// Was exploration cut short (state budget or deadline)?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.graph.is_truncated()
@@ -393,7 +324,7 @@ impl Lts {
 
 /// Builds the engine-level [`StateSymmetry`] of a DFS model generated by a
 /// node permutation (`node_perm[i]` = image of node `i`), for quotient
-/// exploration via [`Lts::explore_with`].
+/// exploration via [`Lts::explore`].
 ///
 /// The permutation must preserve the model's *structure*: node kinds, guard
 /// modes, and the (inversion-flagged) data-edge, R-preset/postset and guard
@@ -711,6 +642,20 @@ mod tests {
     use crate::builder::DfsBuilder;
     use crate::node::TokenValue;
 
+    fn budget(max_states: usize) -> EngineConfig {
+        EngineConfig {
+            max_states,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// Exhaustive exploration; panics when `max_states` truncates it.
+    fn explore_all(dfs: &Dfs, max_states: usize) -> Lts {
+        let lts = Lts::explore(dfs, &budget(max_states), None);
+        assert!(!lts.is_truncated());
+        lts
+    }
+
     /// Closed three-register ring — the paper notes three registers are the
     /// minimum for a token to oscillate (§III, control loops), and the same
     /// holds for plain rings under the spread-token semantics.
@@ -754,14 +699,14 @@ mod tests {
         b.connect(r0, r1);
         b.connect(r1, r0);
         let dfs = b.finish().unwrap();
-        let lts = Lts::explore(&dfs, 1_000).unwrap();
+        let lts = explore_all(&dfs, 1_000);
         assert!(!lts.deadlocks().is_empty());
     }
 
     #[test]
     fn ring_is_live_and_bounded() {
         let dfs = ring();
-        let lts = Lts::explore(&dfs, 10_000).unwrap();
+        let lts = explore_all(&dfs, 10_000);
         assert!(lts.deadlocks().is_empty());
         assert!(lts.len() > 2);
         // traces replay
@@ -777,11 +722,7 @@ mod tests {
     #[test]
     fn budget_overrun_reports() {
         let dfs = ring();
-        assert!(matches!(
-            Lts::explore(&dfs, 2),
-            Err(crate::DfsError::StateBudgetExceeded { budget: 2 })
-        ));
-        let partial = Lts::explore_truncated(&dfs, 2);
+        let partial = Lts::explore(&dfs, &budget(2), None);
         assert!(partial.is_truncated());
         assert_eq!(
             partial.outcome(),
@@ -805,38 +746,33 @@ mod tests {
         b.connect(c2, p);
         b.connect(p, o);
         let dfs = b.finish().unwrap();
-        let lts = Lts::explore(&dfs, 10_000).unwrap();
+        let lts = explore_all(&dfs, 10_000);
         assert!(!lts.deadlocks().is_empty());
         let mismatch = lts.find_state(|s| dfs.has_control_mismatch(s));
         assert!(mismatch.is_some());
     }
 
-    /// The engine-backed explorers are indistinguishable from the naive
+    /// The engine-backed explorer is indistinguishable from the naive
     /// reference: same numbering, edges, traces and truncation behaviour,
     /// at every thread count.
     #[test]
     fn engine_matches_naive_reference() {
         let dfs = ring();
-        for budget in [usize::MAX, 5, 2] {
+        for max_states in [usize::MAX, 5, 2] {
+            let b = Lts::explore_naive(&dfs, max_states);
             for threads in [1usize, 2, 4] {
-                let a = Lts::explore_with(
+                let a = Lts::explore(
                     &dfs,
                     &EngineConfig {
-                        max_states: budget,
                         threads,
-                        anchor_interval: 0,
-                        deadline: None,
+                        ..budget(max_states)
                     },
                     None,
                 );
-                let s = Lts::explore_serial_truncated(&dfs, budget);
-                let b = Lts::explore_naive_truncated(&dfs, budget);
                 assert_eq!(a.len(), b.len());
-                assert_eq!(s.len(), b.len());
-                assert_eq!(a.is_truncated(), b.is_truncated());
+                assert_eq!(a.outcome(), b.outcome());
                 for (sa, sb) in a.states().zip(b.states()) {
                     assert_eq!(a.state(sa), b.state(sb));
-                    assert_eq!(s.state(sa), b.state(sb));
                     assert_eq!(a.successors(sa), b.successors(sb));
                     assert_eq!(a.trace_to(sa), b.trace_to(sb));
                 }
@@ -852,8 +788,8 @@ mod tests {
         let (dfs, perm) = double_ring();
         let sym = node_rotation_symmetry(&dfs, &perm).unwrap();
         assert_eq!(sym.order(), 2);
-        let full = Lts::explore_truncated(&dfs, 100_000);
-        let quo = Lts::explore_with(&dfs, &EngineConfig::default(), Some(&sym));
+        let full = explore_all(&dfs, 100_000);
+        let quo = Lts::explore(&dfs, &EngineConfig::default(), Some(&sym));
         assert!(quo.len() < full.len());
         assert!(quo.len() * 2 >= full.len());
         assert_eq!(full.deadlocks().is_empty(), quo.deadlocks().is_empty());

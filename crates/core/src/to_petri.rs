@@ -579,7 +579,8 @@ pub fn to_petri(dfs: &Dfs) -> PetriImage {
 mod tests {
     use super::*;
     use crate::builder::DfsBuilder;
-    use rap_petri::reachability::{explore, ExploreConfig};
+    use rap_petri::engine::EngineConfig;
+    use rap_petri::reachability::explore;
 
     #[test]
     fn logic_node_translation_matches_fig3a() {
@@ -650,7 +651,8 @@ mod tests {
         b.connect(g, i);
         let dfs = b.finish().unwrap();
         let img = to_petri(&dfs);
-        let space = explore(&img.net, ExploreConfig::default()).unwrap();
+        let space = explore(&img.net, &EngineConfig::default(), None);
+        assert!(!space.is_truncated());
         let pairs = img.complementary_pairs();
         assert!(rap_petri::analysis::check_complementary_pairs(&space, &pairs).is_none());
     }

@@ -18,7 +18,8 @@ use crate::graph::{Dfs, GuardMode};
 use crate::to_petri::{to_petri, PetriImage};
 use crate::DfsError;
 use rap_petri::analysis as pn_analysis;
-use rap_petri::reachability::{explore, ExploreConfig, StateSpace};
+use rap_petri::engine::{EngineConfig, ExploreOutcome};
+use rap_petri::reachability::{explore, StateSpace};
 use rap_reach::Predicate;
 
 /// Verification limits.
@@ -75,13 +76,7 @@ impl VerificationReport {
 /// `config.max_states`.
 pub fn verify(dfs: &Dfs, config: &VerifyConfig) -> Result<VerificationReport, DfsError> {
     let img = to_petri(dfs);
-    let space = explore(
-        &img.net,
-        ExploreConfig {
-            max_states: config.max_states,
-            ..ExploreConfig::default()
-        },
-    )?;
+    let space = explore_exhaustively(&img, config)?;
     Ok(VerificationReport {
         states: space.len(),
         deadlocks: deadlocks(&img, &space),
@@ -109,14 +104,22 @@ pub fn certify_translation_safety(dfs: &Dfs) -> bool {
 /// [`DfsError::StateBudgetExceeded`] on budget overrun.
 pub fn check_deadlock(dfs: &Dfs, config: &VerifyConfig) -> Result<Vec<Counterexample>, DfsError> {
     let img = to_petri(dfs);
-    let space = explore(
-        &img.net,
-        ExploreConfig {
-            max_states: config.max_states,
-            ..ExploreConfig::default()
-        },
-    )?;
+    let space = explore_exhaustively(&img, config)?;
     Ok(deadlocks(&img, &space))
+}
+
+/// The full reachable space of the Petri image, or
+/// [`DfsError::StateBudgetExceeded`] when the budget truncates it.
+fn explore_exhaustively(img: &PetriImage, config: &VerifyConfig) -> Result<StateSpace, DfsError> {
+    let cfg = EngineConfig {
+        max_states: config.max_states,
+        ..EngineConfig::default()
+    };
+    let space = explore(&img.net, &cfg, None);
+    match space.outcome() {
+        ExploreOutcome::Complete => Ok(space),
+        ExploreOutcome::Truncated { limit } => Err(DfsError::StateBudgetExceeded { budget: limit }),
+    }
 }
 
 fn trace_labels(img: &PetriImage, trace: &[rap_petri::TransitionId]) -> Vec<String> {

@@ -369,14 +369,9 @@ impl Shared<'_> {
 }
 
 /// Runs the sweep over `space` with the given cost model and driver
-/// configuration, in a fresh private session.
-#[must_use]
-pub fn explore(space: &DesignSpace, cost: &CostModel, cfg: &DseConfig) -> DseOutcome {
-    explore_with_session(space, cost, cfg, &Session::new())
-}
-
-/// [`explore`] through a caller-supplied [`Session`]: every artifact the
-/// sweep derives (Petri images, phase unfoldings, verification screens,
+/// configuration through a caller-supplied [`Session`] (pass
+/// `&Session::new()` for a fresh private one): every artifact the sweep
+/// derives (Petri images, phase unfoldings, verification screens,
 /// cost summaries) is interned there and reused by later sweeps or other
 /// queries against the same session. Re-running a sweep against a warm
 /// session performs **zero** new structural analyses — only the Pareto

@@ -60,7 +60,7 @@ pub mod pareto;
 pub mod space;
 
 pub use driver::{
-    explore, explore_traced, explore_with_session, DseConfig, DseOutcome, Evaluation, SweepStats,
+    explore_traced, explore_with_session, DseConfig, DseOutcome, Evaluation, SweepStats,
 };
 pub use eval::{evaluate_structural, StructuralEval};
 pub use models::{wagged_ope, WaggedOpe};

@@ -206,9 +206,14 @@ mod tests {
     fn two_way_wagged_ope_screens_clean_within_budget() {
         use dfs_core::to_petri;
         use rap_petri::analysis::quick_check;
+        use rap_petri::engine::EngineConfig;
         let w = wagged_ope(2, 1, ope_delays(), &[1.0]).unwrap();
         let img = to_petri(&w.dfs);
-        let qc = quick_check(&img.net, &img.complementary_pairs(), 300_000);
+        let cfg = EngineConfig {
+            max_states: 300_000,
+            ..EngineConfig::default()
+        };
+        let qc = quick_check(&img.net, &img.complementary_pairs(), &cfg);
         assert!(qc.truncated, "2-way space is far larger than the budget");
         assert!(qc.no_violation(), "{qc:?}");
     }

@@ -7,7 +7,8 @@ use dfs_core::perf::mcr::maximum_cycle_ratio;
 use dfs_core::perf::{analyse, EventGraph};
 use dfs_core::pipelines::StageDelays;
 use rap_dse::models::wagged_ope;
-use rap_dse::{explore, DesignSpace, DseConfig, DseOutcome, Hardware};
+use rap_dse::{explore_with_session, DesignSpace, DseConfig, DseOutcome, Hardware};
+use rap_session::Session;
 use rap_silicon::cost::CostModel;
 
 fn ope_delays() -> StageDelays {
@@ -49,7 +50,7 @@ fn front_signature(outcome: &DseOutcome) -> Vec<(usize, Vec<String>)> {
 fn parallel_memoized_pruned_sweep_matches_plain_serial() {
     let space = small_space();
     let cost = CostModel::default();
-    let reference = explore(
+    let reference = explore_with_session(
         &space,
         &cost,
         &DseConfig {
@@ -58,6 +59,7 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
             memoize: false,
             prune: false,
         },
+        &Session::new(),
     );
     // the reference evaluates every enumerated configuration in full
     assert_eq!(reference.stats.full_evaluations, reference.stats.enumerated);
@@ -65,7 +67,7 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
     assert!(!reference.fronts.is_empty());
 
     for (threads, memoize, prune) in [(1, true, true), (4, true, false), (4, true, true)] {
-        let outcome = explore(
+        let outcome = explore_with_session(
             &space,
             &cost,
             &DseConfig {
@@ -74,6 +76,7 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
                 memoize,
                 prune,
             },
+            &Session::new(),
         );
         assert_eq!(
             front_signature(&outcome),
@@ -102,14 +105,15 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
 fn front_objectives_are_bitwise_stable_across_schedules() {
     let space = small_space();
     let cost = CostModel::default();
-    let a = explore(&space, &cost, &DseConfig::default());
-    let b = explore(
+    let a = explore_with_session(&space, &cost, &DseConfig::default(), &Session::new());
+    let b = explore_with_session(
         &space,
         &cost,
         &DseConfig {
             threads: 1,
             ..DseConfig::default()
         },
+        &Session::new(),
     );
     for (w, front) in &a.fronts {
         let other = b.front(*w);

@@ -36,8 +36,8 @@
 //!
 //! Recording is observation-only. No instrumented subsystem ever keys
 //! dedup, state numbering, or scheduling decisions on recorder state; the
-//! engine's parallel≡serial equivalence proptests run with a live
-//! [`Collector`] attached to pin exactly that.
+//! engine's equivalence proptests against the naive reference explorers
+//! run with a live [`Collector`] attached to pin exactly that.
 //!
 //! ## Span and counter taxonomy
 //!

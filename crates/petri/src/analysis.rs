@@ -6,9 +6,8 @@
 //! functional properties are expressed in the Reach-style language of the
 //! `rap-reach` crate and evaluated over the same state space.
 
-use crate::reachability::{
-    explore_quotient_truncated, explore_truncated, ExploreConfig, StateId, StateSpace,
-};
+use crate::engine::{EngineConfig, ExploreOutcome};
+use crate::reachability::{explore, StateId, StateSpace};
 use crate::symmetry::Symmetry;
 use crate::{Marking, PetriNet, PlaceId, TransitionId};
 
@@ -171,62 +170,25 @@ impl QuickCheck {
 /// Budget-bounded deadlock and 1-safety check — the cheap screen a design
 /// sweep runs on every candidate before trusting its performance numbers.
 ///
-/// Explores at most `max_states` markings (never erroring on overrun,
-/// unlike [`crate::reachability::explore`]) and checks the explored prefix
-/// for deadlocks and for violations of the complementary-pair 1-safety
-/// invariant (see [`check_complementary_pairs`]; DFS translations obtain
-/// the pairs from `PetriImage::complementary_pairs`).
+/// Explores at most `cfg.max_states` markings (see [`EngineConfig`] for the
+/// thread count, wall-clock deadline and recorder) and checks the explored
+/// prefix for deadlocks and for violations of the complementary-pair
+/// 1-safety invariant (see [`check_complementary_pairs`]; DFS translations
+/// obtain the pairs from `PetriImage::complementary_pairs`).
 ///
 /// Truncation is handled soundly in both directions: a violation found in
 /// the prefix is a real violation of the net, and a prefix state without
 /// recorded successors is re-checked against the net for enabled
 /// transitions before being called a deadlock — an unexpanded frontier
 /// state of a truncated exploration is *not* a counterexample. When the
-/// budget was hit and nothing was found, the verdicts say
-/// [`QuickVerdict::Inconclusive`] instead of over-claiming.
+/// budget or the deadline cut the run and nothing was found, the verdicts
+/// say [`QuickVerdict::Inconclusive`], carrying the state budget in force,
+/// instead of over-claiming. A deadline cut stops at a level-commit
+/// barrier, so the checked prefix is deterministic and a runaway check
+/// never runs past its time box to the state cap.
 #[must_use]
-pub fn quick_check(net: &PetriNet, pairs: &[(PlaceId, PlaceId)], max_states: usize) -> QuickCheck {
-    quick_check_traced(net, pairs, max_states, &rap_obs::Obs::none())
-}
-
-/// [`quick_check`] with a recorder attached: the underlying exploration
-/// emits its per-level spans and engine counters into `obs` (see
-/// [`crate::reachability::explore_truncated_traced`]). Recording is
-/// observation-only — the verdicts are identical to [`quick_check`].
-#[must_use]
-pub fn quick_check_traced(
-    net: &PetriNet,
-    pairs: &[(PlaceId, PlaceId)],
-    max_states: usize,
-    obs: &rap_obs::Obs,
-) -> QuickCheck {
-    let cfg = ExploreConfig {
-        max_states,
-        ..ExploreConfig::default()
-    };
-    let space = crate::reachability::explore_truncated_traced(net, cfg, obs);
-    verdicts_over(net, &space, pairs, max_states)
-}
-
-/// [`quick_check`] under an explicit [`ExploreConfig`] — the variant that
-/// exposes the wall-clock [`deadline`](ExploreConfig::deadline) (and the
-/// thread count) in addition to the state budget.
-///
-/// A deadline expiry produces the same *typed* outcomes as a budget hit:
-/// the exploration stops `Truncated` at a level-commit barrier and the
-/// verdicts over the (complete-level, deterministic) prefix degrade to
-/// [`QuickVerdict::Inconclusive`] unless a genuine violation was already
-/// found — a runaway check never over-claims, and never runs past its
-/// time box to the state cap. The reported `Inconclusive` budget is the
-/// state budget in force when the clock cut the run.
-#[must_use]
-pub fn quick_check_with(
-    net: &PetriNet,
-    pairs: &[(PlaceId, PlaceId)],
-    cfg: &ExploreConfig,
-) -> QuickCheck {
-    let space = explore_truncated(net, *cfg);
-    verdicts_over(net, &space, pairs, cfg.max_states)
+pub fn quick_check(net: &PetriNet, pairs: &[(PlaceId, PlaceId)], cfg: &EngineConfig) -> QuickCheck {
+    verdicts_over(net, &explore(net, cfg, None), pairs)
 }
 
 /// Symmetry-reduced [`quick_check`]: explores the rotation *quotient* under
@@ -261,25 +223,24 @@ pub fn quick_check_quotient(
         "complementary-pair set is not closed under the symmetry; the quotient verdict would be unsound"
     );
     let ssym = sym.state_symmetry();
-    let space = explore_quotient_truncated(
+    let space = explore(
         net,
-        ExploreConfig {
+        &EngineConfig {
             max_states,
-            ..ExploreConfig::default()
+            ..EngineConfig::default()
         },
-        &ssym,
+        Some(&ssym),
     );
-    verdicts_over(net, &space, pairs, max_states)
+    verdicts_over(net, &space, pairs)
 }
 
 /// Shared verdict pass of [`quick_check`] / [`quick_check_quotient`].
-fn verdicts_over(
-    net: &PetriNet,
-    space: &StateSpace,
-    pairs: &[(PlaceId, PlaceId)],
-    max_states: usize,
-) -> QuickCheck {
-    let truncated = space.is_truncated();
+fn verdicts_over(net: &PetriNet, space: &StateSpace, pairs: &[(PlaceId, PlaceId)]) -> QuickCheck {
+    // no violation found: holds, or only on the prefix when truncated
+    let unviolated = match space.outcome() {
+        ExploreOutcome::Complete => QuickVerdict::Holds,
+        ExploreOutcome::Truncated { limit } => QuickVerdict::Inconclusive { budget: limit },
+    };
 
     let mut deadlock = None;
     let mut marking = Marking::empty(net.place_count());
@@ -303,22 +264,22 @@ fn verdicts_over(
             break;
         }
     }
-    let deadlock_free = match (&deadlock, truncated) {
-        (Some(_), _) => QuickVerdict::Violated,
-        (None, false) => QuickVerdict::Holds,
-        (None, true) => QuickVerdict::Inconclusive { budget: max_states },
+    let deadlock_free = if deadlock.is_some() {
+        QuickVerdict::Violated
+    } else {
+        unviolated
     };
 
     let unsafe_witness = check_complementary_pairs(space, pairs);
-    let safe = match (&unsafe_witness, truncated) {
-        (Some(_), _) => QuickVerdict::Violated,
-        (None, false) => QuickVerdict::Holds,
-        (None, true) => QuickVerdict::Inconclusive { budget: max_states },
+    let safe = if unsafe_witness.is_some() {
+        QuickVerdict::Violated
+    } else {
+        unviolated
     };
 
     QuickCheck {
         states: space.len(),
-        truncated,
+        truncated: space.is_truncated(),
         deadlock_free,
         deadlock,
         safe,
@@ -354,8 +315,20 @@ pub fn check_complementary_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reachability::{explore, ExploreConfig};
     use crate::PetriNet;
+
+    fn explore_default(net: &PetriNet) -> StateSpace {
+        let space = explore(net, &EngineConfig::default(), None);
+        assert!(!space.is_truncated());
+        space
+    }
+
+    fn budget(max_states: usize) -> EngineConfig {
+        EngineConfig {
+            max_states,
+            ..EngineConfig::default()
+        }
+    }
 
     #[test]
     fn detects_deadlock_with_trace() {
@@ -370,7 +343,7 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, b);
         net.produce(t2, c);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         let dls = find_deadlocks(&space);
         assert_eq!(dls.len(), 1);
         assert_eq!(dls[0].trace, vec![t1, t2]);
@@ -388,7 +361,7 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, b);
         net.produce(t2, a);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         assert!(find_deadlocks(&space).is_empty());
     }
 
@@ -405,7 +378,7 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, a);
         net.produce(t2, c);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         let v = find_persistence_violations(&net, &space, |_, _| false);
         // both orderings are reported
         assert_eq!(v.len(), 2);
@@ -426,7 +399,7 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, b);
         net.produce(t2, b1);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         assert!(find_persistence_violations(&net, &space, |_, _| false).is_empty());
     }
 
@@ -438,7 +411,7 @@ mod tests {
         let t = net.add_transition("x+");
         net.consume(t, x0);
         net.produce(t, x1);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         assert!(check_complementary_pairs(&space, &[(x0, x1)]).is_none());
 
         // a broken net where the pair can both become marked
@@ -448,7 +421,7 @@ mod tests {
         let t = bad.add_transition("oops");
         bad.read(t, y0);
         bad.produce(t, y1);
-        let space = explore(&bad, ExploreConfig::default()).unwrap();
+        let space = explore_default(&bad);
         let hit = check_complementary_pairs(&space, &[(y0, y1)]);
         assert!(hit.is_some());
     }
@@ -484,14 +457,14 @@ mod tests {
     #[test]
     fn quick_check_finds_real_deadlocks_and_certifies_live_nets() {
         let (net, _, c) = dead_end_net();
-        let qc = quick_check(&net, &[], 1_000);
+        let qc = quick_check(&net, &[], &budget(1_000));
         assert_eq!(qc.deadlock_free, QuickVerdict::Violated);
         assert!(!qc.no_violation());
         let dl = qc.deadlock.expect("counterexample attached");
         assert_eq!(dl.trace.len(), 2);
         assert!(dl.marking.is_marked(c));
 
-        let qc = quick_check(&live_ring_net(5), &[], 1_000);
+        let qc = quick_check(&live_ring_net(5), &[], &budget(1_000));
         assert!(qc.is_clean(), "{qc:?}");
         assert_eq!(qc.states, 5);
         assert!(!qc.truncated);
@@ -504,7 +477,7 @@ mod tests {
         // the dead-end net truncated to 2 of its 3 states: state b has no
         // recorded successors but t2 is enabled there — not a deadlock
         let (net, _, _) = dead_end_net();
-        let qc = quick_check(&net, &[], 2);
+        let qc = quick_check(&net, &[], &budget(2));
         assert!(qc.truncated);
         assert_eq!(qc.deadlock_free, QuickVerdict::Inconclusive { budget: 2 });
         assert!(qc.deadlock.is_none());
@@ -512,7 +485,7 @@ mod tests {
 
         // a live ring truncated mid-way: inconclusive, carrying the budget
         // that was hit, not violated
-        let qc = quick_check(&live_ring_net(8), &[], 3);
+        let qc = quick_check(&live_ring_net(8), &[], &budget(3));
         assert!(qc.truncated);
         assert_eq!(qc.deadlock_free, QuickVerdict::Inconclusive { budget: 3 });
         assert_eq!(qc.safe, QuickVerdict::Inconclusive { budget: 3 });
@@ -523,7 +496,7 @@ mod tests {
         let net = live_ring_net(6);
         let perm: Vec<u32> = (0..6u32).map(|i| (i + 1) % 6).collect();
         let sym = Symmetry::new(&net, perm).unwrap();
-        let full = quick_check(&net, &[], 1_000);
+        let full = quick_check(&net, &[], &budget(1_000));
         let quo = quick_check_quotient(&net, &[], 1_000, &sym);
         assert_eq!(full.deadlock_free, quo.deadlock_free);
         assert_eq!(full.safe, quo.safe);
@@ -580,7 +553,7 @@ mod tests {
         let t = bad.add_transition("oops");
         bad.read(t, y0);
         bad.produce(t, y1);
-        let qc = quick_check(&bad, &[(y0, y1)], 2);
+        let qc = quick_check(&bad, &[(y0, y1)], &budget(2));
         assert_eq!(qc.safe, QuickVerdict::Violated);
         assert!(qc.unsafe_witness.is_some());
     }

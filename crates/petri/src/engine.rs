@@ -1,37 +1,35 @@
-//! Shared state-space engine: serial reference, parallel explorer,
-//! delta-compressed storage and symmetry reduction.
+//! The state-space engine: parallel explorer, delta-compressed storage and
+//! symmetry reduction.
 //!
 //! Both explicit-state explorers of the workspace — Petri-net reachability
 //! ([`crate::reachability`]) and the direct DFS semantics (`dfs-core::Lts`)
 //! — are breadth-first fixpoints over a successor relation on *word-packed*
-//! states ([`TransitionSystem`]). This module provides two interchangeable
-//! drivers over that abstraction plus the machinery they share:
-//!
-//! * [`explore`] — the serial engine (PR 2): arena-interned states, an
-//!   open-addressing dedup table, event-driven enabledness. Retained as the
-//!   executable specification the parallel engine is differentially tested
-//!   against (`tests/engine_parallel_equivalence.rs`), exactly the way it
-//!   was itself pinned against the naive explorers.
-//! * [`explore_parallel`] — the production engine: level-synchronous BFS
-//!   with a work-stealing frontier (`rap-pool`), a sharded concurrent dedup
-//!   index ([`shard::ShardIndex`]), delta-compressed state storage, and
-//!   optional symmetry reduction ([`StateSymmetry`]).
+//! states ([`TransitionSystem`]). [`explore`] is the one driver over that
+//! abstraction: a level-synchronous BFS with a work-stealing frontier
+//! (`rap-pool`), a sharded concurrent dedup index ([`shard::ShardIndex`]),
+//! event-driven enabledness, delta-compressed state storage and optional
+//! symmetry reduction ([`StateSymmetry`]). It is configured by one
+//! [`EngineConfig`] — state budget, worker count, anchor interval,
+//! wall-clock deadline and recorder.
 //!
 //! # Determinism contract
 //!
-//! The parallel engine is **observationally identical to the serial engine
-//! at every thread count**: same state numbering (BFS discovery order),
-//! same parent attribution (hence identical witness traces), same CSR edge
-//! order, and the same truncation point under a state budget. This is not
-//! best-effort: workers only *propose* successors; a single commit pass per
-//! BFS level walks the proposals in canonical `(parent id, action)` order
-//! and assigns dense ids at the first canonical encounter, reproducing the
-//! serial engine's interleaving exactly. Duplicate discoveries by racing
-//! workers meet in the sharded index (every hash hit is confirmed by a full
-//! word compare) and resolve to one pending entry; which worker inserted it
-//! is invisible after the commit pass. Counts, truncation verdicts and
-//! traces are therefore thread-count-invariant by construction, and the
-//! differential suite pins parallel ≡ serial ≡ naive state-for-state.
+//! The engine is **observationally identical at every thread count**, and
+//! to a plain one-state-at-a-time BFS that fires actions in index order:
+//! same state numbering (BFS discovery order), same parent attribution
+//! (hence identical witness traces), same CSR edge order, and the same
+//! truncation point under a state budget. This is not best-effort: workers
+//! only *propose* successors; a single commit pass per BFS level walks the
+//! proposals in canonical `(parent id, action)` order and assigns dense ids
+//! at the first canonical encounter, reproducing the sequential
+//! interleaving exactly. Duplicate discoveries by racing workers meet in
+//! the sharded index (every hash hit is confirmed by a full word compare)
+//! and resolve to one pending entry; which worker inserted it is invisible
+//! after the commit pass. Counts, truncation verdicts and traces are
+//! therefore thread-count-invariant by construction, and the differential
+//! suite pins the engine against the naive reference explorers
+//! (`reachability::explore_naive`, `Lts::explore_naive`) state-for-state at
+//! threads ∈ {1, 2, 8}.
 //!
 //! # Delta-compressed storage
 //!
@@ -44,7 +42,7 @@
 //! The trade-off: random state access costs a short chain walk instead of
 //! one slice read, in exchange for ~`stride / nnz(delta)`× smaller state
 //! storage on wide states. Narrow states (≤ 2 words) gain nothing, so the
-//! auto setting stores them all-anchor and the serial engine always does.
+//! auto setting stores them all-anchor.
 //!
 //! # Symmetry reduction
 //!
@@ -133,9 +131,10 @@ pub trait TransitionSystem {
 pub enum ExploreOutcome {
     /// The full reachable set was enumerated.
     Complete,
-    /// The state budget stopped the exploration early; `limit` is the
-    /// budget that was hit, so callers can propagate *which* bound made a
-    /// verdict inconclusive instead of a bare flag.
+    /// The state budget or the deadline stopped the exploration early;
+    /// `limit` is the state budget in force, so callers can propagate
+    /// *which* bound made a verdict inconclusive instead of a bare flag
+    /// (the number of states explored is the graph's `len()`).
     Truncated {
         /// The `max_states` budget in force.
         limit: usize,
@@ -143,7 +142,7 @@ pub enum ExploreOutcome {
 }
 
 impl ExploreOutcome {
-    /// Did exploration stop early on the state budget?
+    /// Did exploration stop early (state budget or deadline)?
     #[must_use]
     pub fn is_truncated(self) -> bool {
         matches!(self, ExploreOutcome::Truncated { .. })
@@ -151,20 +150,20 @@ impl ExploreOutcome {
 }
 
 /// Engine knobs shared by both frontends.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Maximum number of distinct states to store before truncating.
     pub max_states: usize,
-    /// Worker threads; `0` = one per available core (capped at 8).
+    /// Worker threads; `0` = one per available core (capped at 8). Results
+    /// are identical at every thread count.
     pub threads: usize,
     /// Full-snapshot anchor every this many BFS levels (delta-compress the
     /// states in between); `0` = auto (all-anchor for states ≤ 2 words,
     /// every 8 levels otherwise), `1` = store every state in full.
     pub anchor_interval: usize,
-    /// Wall-clock budget for the parallel engine; `None` = unbounded (the
-    /// state cap is then the only stop). A runaway exploration becomes the
-    /// ordinary typed [`ExploreOutcome::Truncated`] outcome instead of
-    /// running to the cap.
+    /// Wall-clock budget; `None` = unbounded (the state cap is then the
+    /// only stop). A runaway exploration becomes the ordinary typed
+    /// [`ExploreOutcome::Truncated`] outcome instead of running to the cap.
     ///
     /// **Deterministic cut semantics:** the clock is consulted *only at
     /// level-commit barriers* — after a BFS level has been fully expanded,
@@ -173,14 +172,24 @@ pub struct EngineConfig {
     /// order, and for a given cut level the resulting graph is bit-
     /// identical at every thread count; wall-clock variance can only move
     /// the cut to a different level boundary, never produce a state set no
-    /// serial exploration could. Deadline-truncated artifacts are
+    /// sequential exploration could. Deadline-truncated artifacts are
     /// outcome-typed (`Truncated` / `Inconclusive`), so downstream layers
     /// treat them exactly like budget-truncated ones — and the session's
     /// persistent store never caches them under a deadline-free key.
-    /// The serial reference engine ([`explore`]) deliberately ignores the
-    /// deadline: it is the determinism oracle the differential tests
-    /// compare against.
     pub deadline: Option<std::time::Duration>,
+    /// Recorder for the engine's spans and counters; detached by default.
+    ///
+    /// Per BFS level the engine opens `engine.level.expand` (worker
+    /// expansion, including concurrent dedup probes), `engine.level.dedup`
+    /// (barrier-side chunk ordering and pending-slot reset) and
+    /// `engine.level.commit` (canonical-order commit) spans; at the end it
+    /// records the [`EngineStats`] counters and the `engine.frontier.peak`
+    /// gauge. All recording happens at level barriers or after the run —
+    /// the per-state hot path never touches the recorder — and recording
+    /// is observation-only: the returned graph is bit-identical to an
+    /// untraced run at every thread count (pinned by the differential
+    /// suites running with a live collector).
+    pub obs: Obs,
 }
 
 impl Default for EngineConfig {
@@ -190,6 +199,7 @@ impl Default for EngineConfig {
             threads: 0,
             anchor_interval: 0,
             deadline: None,
+            obs: Obs::none(),
         }
     }
 }
@@ -215,7 +225,7 @@ impl EngineConfig {
 }
 
 /// View over the engine's `rap-obs` counters after a traced exploration
-/// ([`explore_parallel_traced`] with a live collector) — the engine-side
+/// ([`explore`] with a live collector in [`EngineConfig::obs`]) — the engine-side
 /// member of the workspace's unified stats family (`SessionStats`,
 /// `StoreStats`, `SweepStats` are views the same way).
 ///
@@ -257,7 +267,7 @@ impl EngineStats {
     }
 }
 
-/// The reachable graph produced by [`explore`] / [`explore_parallel`]:
+/// The reachable graph produced by [`explore`]:
 /// delta-compressed states plus parent links and a CSR successor list, all
 /// keyed by dense state ids in BFS discovery order (0 = initial state).
 ///
@@ -348,8 +358,7 @@ impl ExploredGraph {
     }
 
     /// Builds an all-anchor (uncompressed) graph from dense parts — used by
-    /// the serial engine and the naive reference explorers, which keep a
-    /// dense arena anyway.
+    /// the naive reference explorers, which keep a dense arena anyway.
     ///
     /// # Panics
     ///
@@ -405,7 +414,7 @@ impl ExploredGraph {
         self.outcome
     }
 
-    /// Did exploration stop early on the state budget?
+    /// Did exploration stop early (state budget or deadline)?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.outcome.is_truncated()
@@ -483,144 +492,6 @@ pub fn hash_words(words: &[u64]) -> u64 {
         h = h.rotate_left(29).wrapping_mul(0x9FB2_1C65_1E98_DF25);
     }
     h ^ (h >> 32)
-}
-
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Open-addressing dedup table over arena-resident states (serial engine).
-/// Slots store state ids; collisions are resolved by comparing the actual
-/// arena slices, so the compact hash never mis-identifies a state.
-struct DedupTable {
-    slots: Vec<u32>,
-    mask: usize,
-    len: usize,
-}
-
-impl DedupTable {
-    fn new() -> Self {
-        let cap = 1024;
-        DedupTable {
-            slots: vec![EMPTY_SLOT; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    fn find(&self, hash: u64, cand: &[u64], arena: &[u64], stride: usize) -> Option<u32> {
-        let mut i = (hash as usize) & self.mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == EMPTY_SLOT {
-                return None;
-            }
-            let s = slot as usize * stride;
-            if &arena[s..s + stride] == cand {
-                return Some(slot);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn insert_raw(&mut self, hash: u64, id: u32) {
-        let mut i = (hash as usize) & self.mask;
-        while self.slots[i] != EMPTY_SLOT {
-            i = (i + 1) & self.mask;
-        }
-        self.slots[i] = id;
-    }
-
-    /// Inserts a freshly appended state, growing at 50% load (cheap probes
-    /// beat memory here: slots are 4 bytes). State ids are dense, so growth
-    /// rehashes by re-reading the arena.
-    fn insert(&mut self, hash: u64, id: u32, arena: &[u64], stride: usize) {
-        if (self.len + 1) * 2 > self.slots.len() {
-            let cap = self.slots.len() * 2;
-            self.slots = vec![EMPTY_SLOT; cap];
-            self.mask = cap - 1;
-            for prev in 0..self.len as u32 {
-                let s = prev as usize * stride;
-                self.insert_raw(hash_words(&arena[s..s + stride]), prev);
-            }
-        }
-        self.insert_raw(hash, id);
-        self.len += 1;
-    }
-}
-
-/// Serial breadth-first exploration of `sys` up to `max_states` distinct
-/// states — the reference engine.
-///
-/// Truncation mirrors the historical explorers exactly: when storing state
-/// number `max_states` would be required, exploration stops immediately —
-/// successors of the state being expanded that were found *before* the
-/// overflow stay recorded, the overflowing edge does not. The parallel
-/// engine reproduces this behaviour bit-for-bit (see the module docs), and
-/// the differential suite keeps it honest.
-pub fn explore<S: TransitionSystem>(sys: &mut S, max_states: usize) -> ExploredGraph {
-    let stride = sys.state_words().max(1);
-    let astride = sys.action_count().div_ceil(64).max(1);
-
-    let mut arena = vec![0u64; stride];
-    sys.write_initial(&mut arena[..stride]);
-    let mut en_arena = vec![0u64; astride];
-    {
-        // split borrows: arena immutable, en_arena mutable
-        let (state, enabled) = (&arena[..stride], &mut en_arena[..astride]);
-        sys.write_enabled_full(state, enabled);
-    }
-
-    let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-    let mut succ_off: Vec<u32> = vec![0];
-    let mut succ: Vec<(u32, u32)> = Vec::new();
-    let mut table = DedupTable::new();
-    table.insert(hash_words(&arena[..stride]), 0, &arena, stride);
-
-    let mut scratch = vec![0u64; stride];
-    let mut en_scratch = vec![0u64; astride];
-    let mut outcome = ExploreOutcome::Complete;
-
-    // States are discovered in BFS order, so a cursor over dense ids is the
-    // queue: everything behind it is expanded, everything ahead is frontier.
-    let mut cursor = 0usize;
-    'bfs: while cursor < parents.len() {
-        let s = cursor;
-        cursor += 1;
-        let en_base = s * astride;
-        for wi in 0..astride {
-            let mut bits = en_arena[en_base + wi];
-            while bits != 0 {
-                let a = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                sys.apply(a, &arena[s * stride..(s + 1) * stride], &mut scratch);
-                let hash = hash_words(&scratch);
-                let id = match table.find(hash, &scratch, &arena, stride) {
-                    Some(id) => id,
-                    None => {
-                        if parents.len() >= max_states {
-                            outcome = ExploreOutcome::Truncated { limit: max_states };
-                            break 'bfs;
-                        }
-                        let id = parents.len() as u32;
-                        arena.extend_from_slice(&scratch);
-                        en_scratch.copy_from_slice(&en_arena[en_base..en_base + astride]);
-                        sys.update_enabled(a, &scratch, &mut en_scratch);
-                        en_arena.extend_from_slice(&en_scratch);
-                        parents.push((s as u32, a as u32));
-                        table.insert(hash, id, &arena, stride);
-                        id
-                    }
-                };
-                succ.push((a as u32, id));
-            }
-        }
-        succ_off.push(succ.len() as u32);
-    }
-    // close offsets of states that were never (or only partially) expanded
-    while succ_off.len() < parents.len() + 1 {
-        succ_off.push(succ.len() as u32);
-    }
-
-    ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, outcome)
 }
 
 /// A cyclic symmetry of a [`TransitionSystem`], given by one generator: a
@@ -831,18 +702,25 @@ struct ChunkOut {
     edges: Vec<EdgeRec>,
 }
 
-/// Level-synchronous parallel BFS over `factory`-built systems.
+/// Level-synchronous parallel BFS over `factory`-built systems, under the
+/// budget, parallelism, storage, deadline and recorder settings of `cfg`.
 ///
-/// Observationally identical to [`explore`] at every thread count — see the
-/// module docs for the commit-pass argument. With `symmetry`, explores the
-/// rotation quotient instead (canonicalizing every successor before dedup);
-/// the result is then the quotient graph over orbit representatives, with
-/// per-state discovery rotations for concrete trace reconstruction.
+/// Observationally identical at every thread count — see the module docs
+/// for the commit-pass argument. Truncation is sequential-BFS exact: when
+/// storing state number `max_states` would be required, exploration stops
+/// immediately — successors of the state being expanded that were found
+/// *before* the overflow stay recorded, the overflowing edge does not.
+///
+/// With `symmetry`, explores the rotation quotient instead (canonicalizing
+/// every successor before dedup); the result is then the quotient graph
+/// over orbit representatives, with per-state discovery rotations for
+/// concrete trace reconstruction. The symmetry is an argument rather than
+/// a config field because it changes what the result means.
 ///
 /// # Panics
 ///
 /// Panics when `symmetry` does not cover the system's state/action bits.
-pub fn explore_parallel<S, F>(
+pub fn explore<S, F>(
     factory: F,
     cfg: &EngineConfig,
     symmetry: Option<&StateSymmetry>,
@@ -851,35 +729,7 @@ where
     S: TransitionSystem + Send,
     F: Fn() -> S + Sync,
 {
-    explore_parallel_traced(factory, cfg, symmetry, &Obs::none())
-}
-
-/// [`explore_parallel`] with a recorder attached.
-///
-/// Per BFS level the engine opens `engine.level.expand` (worker expansion,
-/// including concurrent dedup probes), `engine.level.dedup` (barrier-side
-/// chunk ordering and pending-slot reset) and `engine.level.commit`
-/// (canonical-order commit) spans; at the end it records the
-/// [`EngineStats`] counters and the `engine.frontier.peak` gauge. All
-/// recording happens at level barriers or after the run — the per-state
-/// hot path never touches the recorder — and recording is observation-only:
-/// the returned graph is bit-identical to an untraced run at every thread
-/// count (pinned by the parallel≡serial proptests running with a live
-/// collector).
-///
-/// # Panics
-///
-/// Panics when `symmetry` does not cover the system's state/action bits.
-pub fn explore_parallel_traced<S, F>(
-    factory: F,
-    cfg: &EngineConfig,
-    symmetry: Option<&StateSymmetry>,
-    obs: &Obs,
-) -> ExploredGraph
-where
-    S: TransitionSystem + Send,
-    F: Fn() -> S + Sync,
-{
+    let obs = &cfg.obs;
     let started = std::time::Instant::now();
     let threads = cfg.resolved_threads().max(1);
     // one system per worker for the whole run (`factory` can be expensive);
@@ -1058,7 +908,7 @@ where
         drop(expand_span);
 
         // commit: one pass in canonical (parent id, action) order assigns
-        // dense ids exactly as the serial engine would
+        // dense ids exactly as a sequential BFS would
         {
             let _dedup = obs.span("engine.level.dedup");
             chunk_outs.sort_by_key(|c| c.start);
@@ -1118,7 +968,9 @@ where
         // barrier — so the explored prefix is always a complete-level
         // prefix of the canonical BFS order (see `EngineConfig::deadline`)
         if cfg.deadline.is_some_and(|d| started.elapsed() >= d) {
-            g.outcome = ExploreOutcome::Truncated { limit: g.len() };
+            g.outcome = ExploreOutcome::Truncated {
+                limit: cfg.max_states,
+            };
             break;
         }
         {
@@ -1426,6 +1278,19 @@ mod tests {
         net
     }
 
+    fn cfg(max_states: usize, threads: usize, anchor_interval: usize) -> EngineConfig {
+        EngineConfig {
+            max_states,
+            threads,
+            anchor_interval,
+            ..EngineConfig::default()
+        }
+    }
+
+    fn explore_net(net: &PetriNet, cfg: &EngineConfig) -> ExploredGraph {
+        explore(|| NetSystem::new(net), cfg, None)
+    }
+
     fn marking_of(net: &PetriNet, words: &[u64]) -> Marking {
         let mut m = Marking::empty(net.place_count());
         for p in net.places() {
@@ -1438,8 +1303,7 @@ mod tests {
     fn incidence_agrees_with_net_enabledness() {
         let net = ring(5);
         let inc = Incidence::from_net(&net);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 1_000);
+        let g = explore_net(&net, &cfg(1_000, 1, 0));
         for i in 0..g.len() {
             let words = g.state_vec(i);
             let m = marking_of(&net, &words);
@@ -1453,8 +1317,7 @@ mod tests {
     fn fire_into_matches_net_fire() {
         let net = ring(4);
         let inc = Incidence::from_net(&net);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 1_000);
+        let g = explore_net(&net, &cfg(1_000, 1, 0));
         let mut dst = vec![0u64; g.stride()];
         for i in 0..g.len() {
             let words = g.state_vec(i);
@@ -1474,8 +1337,7 @@ mod tests {
         // changes the enabledness of transitions in affected(t)
         let net = ring(6);
         let inc = Incidence::from_net(&net);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 1_000);
+        let g = explore_net(&net, &cfg(1_000, 1, 0));
         let mut dst = vec![0u64; g.stride()];
         for i in 0..g.len() {
             let words = g.state_vec(i);
@@ -1499,10 +1361,9 @@ mod tests {
 
     #[test]
     fn dedup_table_grows_correctly() {
-        // a ring large enough to force several table growths
+        // a ring large enough to force several shard-table growths
         let net = ring(3000);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 10_000);
+        let g = explore_net(&net, &cfg(10_000, 2, 0));
         assert_eq!(g.len(), 3000);
         assert!(!g.is_truncated());
     }
@@ -1511,8 +1372,7 @@ mod tests {
     fn zero_place_net_has_single_state() {
         let mut net = PetriNet::new();
         net.add_transition("noop");
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 10);
+        let g = explore_net(&net, &cfg(10, 1, 0));
         // `noop` has no arcs: it is enabled and loops on the only state
         assert_eq!(g.len(), 1);
         assert_eq!(g.successors(0), &[(0, 0)]);
@@ -1522,44 +1382,42 @@ mod tests {
     #[test]
     fn truncation_reports_the_limit() {
         let net = ring(10);
-        let mut sys = NetSystem::new(&net);
-        let g = explore(&mut sys, 4);
-        assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
-        let g = explore_parallel(|| NetSystem::new(&net), &cfg(4, 2, 0), None);
-        assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
-    }
-
-    fn cfg(max_states: usize, threads: usize, anchor_interval: usize) -> EngineConfig {
-        EngineConfig {
-            max_states,
-            threads,
-            anchor_interval,
-            deadline: None,
+        for threads in [1usize, 2] {
+            let g = explore_net(&net, &cfg(4, threads, 0));
+            assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
+            assert_eq!(g.len(), 4);
         }
     }
 
-    /// Parallel ≡ serial on a ring, across thread counts, anchor settings
-    /// and budgets — the unit-level version of the differential suite.
+    /// Engine ≡ naive reference explorer on a ring, across thread counts,
+    /// anchor settings and budgets — the unit-level version of the
+    /// differential suite: same words, CSR edges and parent traces.
     #[test]
-    fn parallel_matches_serial_exactly() {
+    fn engine_matches_naive_exactly() {
         let net = ring(64);
-        let mut sys = NetSystem::new(&net);
         for budget in [usize::MAX, 64, 17, 3, 1] {
-            let a = explore(&mut sys, budget);
+            let naive = crate::reachability::explore_naive(&net, budget);
+            let mut words = vec![0u64; naive.word_count()];
             for threads in [1usize, 2, 4] {
                 for anchors in [0usize, 1, 3] {
-                    let b = explore_parallel(
-                        || NetSystem::new(&net),
-                        &cfg(budget, threads, anchors),
-                        None,
-                    );
-                    assert_eq!(a.len(), b.len(), "t={threads} a={anchors} b={budget}");
-                    assert_eq!(a.outcome(), b.outcome());
-                    assert_eq!(a.succ, b.succ);
-                    assert_eq!(a.succ_off, b.succ_off);
-                    assert_eq!(a.parents, b.parents);
-                    for i in 0..a.len() {
-                        assert_eq!(a.state_vec(i), b.state_vec(i));
+                    let g = explore_net(&net, &cfg(budget, threads, anchors));
+                    let ctx = format!("t={threads} a={anchors} b={budget}");
+                    assert_eq!(g.len(), naive.len(), "{ctx}");
+                    assert_eq!(g.outcome(), naive.outcome(), "{ctx}");
+                    assert_eq!(g.succ_off.len(), g.len() + 1, "{ctx}");
+                    for s in naive.states() {
+                        let i = s.index();
+                        naive.fill_marking_words(s, &mut words);
+                        assert_eq!(g.state_vec(i), words, "{ctx}: state {i}");
+                        let edges: Vec<(u32, u32)> = naive
+                            .successors(s)
+                            .iter()
+                            .map(|&(t, n)| (t.index() as u32, n.index() as u32))
+                            .collect();
+                        assert_eq!(g.successors(i), edges.as_slice(), "{ctx}: edges {i}");
+                        let trace: Vec<u32> =
+                            naive.trace_to(s).iter().map(|t| t.index() as u32).collect();
+                        assert_eq!(g.trace_to(i), trace, "{ctx}: parents {i}");
                     }
                 }
             }
@@ -1571,8 +1429,8 @@ mod tests {
     #[test]
     fn delta_reconstruction_is_exact_on_wide_states() {
         let net = ring(150); // 3 words per marking
-        let a = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 1), None);
-        let b = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 5), None);
+        let a = explore_net(&net, &cfg(1_000, 1, 1));
+        let b = explore_net(&net, &cfg(1_000, 1, 5));
         assert_eq!(a.len(), b.len());
         assert!(b.anchor_count() < b.len(), "deltas were actually used");
         for i in 0..a.len() {
@@ -1591,8 +1449,8 @@ mod tests {
         let act_perm = bit_perm.clone();
         let sym = StateSymmetry::new(bit_perm, act_perm).unwrap();
         assert_eq!(sym.order(), n);
-        let full = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 0), None);
-        let quo = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, 1, 0), Some(&sym));
+        let full = explore_net(&net, &cfg(1_000, 1, 0));
+        let quo = explore(|| NetSystem::new(&net), &cfg(1_000, 1, 0), Some(&sym));
         assert_eq!(full.len(), n);
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to

@@ -16,11 +16,6 @@ pub enum PetriError {
         /// The transition whose firing violated 1-safety.
         transition: TransitionId,
     },
-    /// The state-space exploration exceeded its configured state budget.
-    StateBudgetExceeded {
-        /// The configured maximum number of states.
-        budget: usize,
-    },
 }
 
 impl fmt::Display for PetriError {
@@ -30,9 +25,6 @@ impl fmt::Display for PetriError {
             PetriError::DuplicateName(n) => write!(f, "duplicate node name `{n}`"),
             PetriError::SafetyViolation { transition } => {
                 write!(f, "firing {transition} violates 1-safety")
-            }
-            PetriError::StateBudgetExceeded { budget } => {
-                write!(f, "state space exceeds the budget of {budget} states")
             }
         }
     }
@@ -48,7 +40,7 @@ mod tests {
     fn display_messages() {
         let e = PetriError::NotEnabled(TransitionId::from_index(1));
         assert_eq!(e.to_string(), "transition t1 is not enabled");
-        let e = PetriError::StateBudgetExceeded { budget: 10 };
-        assert!(e.to_string().contains("10"));
+        let e = PetriError::DuplicateName("p".into());
+        assert_eq!(e.to_string(), "duplicate node name `p`");
     }
 }

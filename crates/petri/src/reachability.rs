@@ -7,63 +7,29 @@
 //! This is the workhorse behind deadlock detection, persistence checking and
 //! Reach-predicate queries, standing in for the paper's MPSAT backend.
 //!
-//! Since PR 2 the traversal runs on the shared incremental engine of
-//! [`crate::engine`]; this PR moves the default path onto the *parallel*
-//! engine ([`crate::engine::explore_parallel`]) with delta-compressed state
-//! storage, which is observationally identical to the serial engine at
-//! every thread count (see the engine docs for the determinism contract).
-//! Two reference implementations are retained and differentially tested
-//! against it: the serial engine ([`explore_serial_truncated`]) and the
-//! original pre-engine explorer ([`explore_naive_truncated`]).
+//! Two entry points:
 //!
-//! With a cyclic symmetry of the net (wagged replicas — see
-//! [`crate::symmetry`]), [`explore_quotient_truncated`] explores the
-//! rotation *quotient* instead: states are canonicalized to the
-//! lexicographically-least rotation before dedup, cutting the space by up
-//! to the group order while preserving orbit-invariant verdicts. Concrete
-//! (replayable) traces are recovered via [`StateSpace::concrete_trace_to`].
+//! * [`explore`] runs the shared state-space engine ([`crate::engine`]) —
+//!   parallel, delta-compressed, bit-identical at every thread count — under
+//!   one [`EngineConfig`] (state budget, threads, anchors, deadline,
+//!   recorder). With a cyclic symmetry of the net (wagged replicas — see
+//!   [`crate::symmetry`]) it explores the rotation *quotient* instead:
+//!   states are canonicalized to the lexicographically-least rotation
+//!   before dedup, cutting the space by up to the group order while
+//!   preserving orbit-invariant verdicts. Concrete (replayable) traces are
+//!   recovered via [`StateSpace::concrete_trace_to`].
+//! * [`explore_naive`] is the original pre-engine explorer, kept as the
+//!   test oracle the engine is pinned against state-for-state and as the
+//!   `state_space_scaling` baseline.
+//!
+//! Neither returns an error on overrun: a budget or deadline cut is
+//! reported by [`StateSpace::outcome`], and callers that need an error map
+//! [`ExploreOutcome::Truncated`](engine::ExploreOutcome) themselves.
 
 use crate::engine::{self, EngineConfig, ExploredGraph, NetSystem, StateSymmetry, NO_PARENT};
-use crate::{Marking, PetriError, PetriNet, TransitionId};
+use crate::{Marking, PetriNet, TransitionId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-
-/// Exploration limits and parallelism.
-#[derive(Debug, Clone, Copy)]
-pub struct ExploreConfig {
-    /// Maximum number of distinct states to store before giving up.
-    pub max_states: usize,
-    /// Worker threads for the parallel engine; `0` = one per available core
-    /// (capped at 8). Results are identical at every thread count.
-    pub threads: usize,
-    /// Wall-clock budget; `None` = unbounded. Checked only at level-commit
-    /// barriers, so a deadline cut still yields a complete-level,
-    /// thread-count-independent prefix — see
-    /// [`EngineConfig::deadline`](crate::engine::EngineConfig) for the full
-    /// determinism contract.
-    pub deadline: Option<std::time::Duration>,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            max_states: 2_000_000,
-            threads: 0,
-            deadline: None,
-        }
-    }
-}
-
-impl ExploreConfig {
-    fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            max_states: self.max_states,
-            threads: self.threads,
-            anchor_interval: 0,
-            deadline: self.deadline,
-        }
-    }
-}
 
 /// Dense id of a state discovered during exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -134,7 +100,7 @@ impl StateSpace {
         self.graph.is_empty()
     }
 
-    /// Did exploration stop early because of [`ExploreConfig::max_states`]?
+    /// Did exploration stop early (state budget or deadline)?
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.graph.is_truncated()
@@ -314,112 +280,40 @@ impl StateSpace {
     }
 }
 
-/// Explores the reachable markings of `net` starting from its initial
-/// marking.
+/// Explores the reachable markings of `net` from its initial marking on the
+/// state-space engine, under `config`'s budget, parallelism, deadline and
+/// recorder (see [`EngineConfig`]).
 ///
-/// # Errors
-///
-/// Returns [`PetriError::StateBudgetExceeded`] when more than
-/// `config.max_states` distinct markings are reachable. Use
-/// [`explore_truncated`] to get the partial state space instead.
-pub fn explore(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, PetriError> {
-    let space = explore_truncated(net, config);
-    if space.is_truncated() {
-        return Err(PetriError::StateBudgetExceeded {
-            budget: config.max_states,
-        });
-    }
-    Ok(space)
-}
-
-/// Like [`explore`] but returns the partial state space (with
-/// [`StateSpace::is_truncated`] set) instead of an error when the budget is
-/// exceeded.
-#[must_use]
-pub fn explore_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    explore_truncated_traced(net, config, &rap_obs::Obs::none())
-}
-
-/// [`explore_truncated`] with a recorder attached: the engine emits
-/// per-level `engine.level.expand` / `engine.level.dedup` /
-/// `engine.level.commit` spans and the [`engine::EngineStats`] counters
-/// into `obs`. Recording is observation-only — the returned space is
-/// bit-identical to [`explore_truncated`] at every thread count.
-#[must_use]
-pub fn explore_truncated_traced(
-    net: &PetriNet,
-    config: ExploreConfig,
-    obs: &rap_obs::Obs,
-) -> StateSpace {
-    let graph =
-        engine::explore_parallel_traced(|| NetSystem::new(net), &config.engine(), None, obs);
-    StateSpace::from_graph(graph, net.place_count(), None)
-}
-
-/// Explores the rotation *quotient* of the net under `sym`: every successor
-/// is canonicalized to the lexicographically-least state of its orbit
-/// before dedup, so the result has one state per reachable orbit (up to
-/// `sym.order()`× fewer states). Orbit-invariant verdicts (deadlock
-/// freedom, 1-safety over symmetric pair sets) transfer — see
+/// With `symmetry`, explores the rotation *quotient* under it: every
+/// successor is canonicalized to the lexicographically-least state of its
+/// orbit before dedup, so the result has one state per reachable orbit (up
+/// to `symmetry.order()`× fewer states). Orbit-invariant verdicts
+/// (deadlock freedom, 1-safety over symmetric pair sets) transfer — see
 /// [`crate::engine`] for the soundness argument and
 /// [`crate::symmetry::Symmetry`] for building/validating the permutations.
+///
+/// A budget or deadline cut yields the partial space, with
+/// [`StateSpace::outcome`] reporting the truncation.
 #[must_use]
-pub fn explore_quotient_truncated(
+pub fn explore(
     net: &PetriNet,
-    config: ExploreConfig,
-    sym: &StateSymmetry,
+    config: &EngineConfig,
+    symmetry: Option<&StateSymmetry>,
 ) -> StateSpace {
-    explore_quotient_truncated_traced(net, config, sym, &rap_obs::Obs::none())
+    let graph = engine::explore(|| NetSystem::new(net), config, symmetry);
+    StateSpace::from_graph(graph, net.place_count(), symmetry.cloned())
 }
 
-/// [`explore_quotient_truncated`] with a recorder attached; see
-/// [`explore_truncated_traced`] for the recording contract.
-#[must_use]
-pub fn explore_quotient_truncated_traced(
-    net: &PetriNet,
-    config: ExploreConfig,
-    sym: &StateSymmetry,
-    obs: &rap_obs::Obs,
-) -> StateSpace {
-    let graph =
-        engine::explore_parallel_traced(|| NetSystem::new(net), &config.engine(), Some(sym), obs);
-    StateSpace::from_graph(graph, net.place_count(), Some(sym.clone()))
-}
-
-/// The serial engine (PR 2), kept as a reference implementation: the
-/// differential suite pins the parallel engine against it state-for-state
-/// at several thread counts. Use [`explore_truncated`] everywhere else.
-#[must_use]
-pub fn explore_serial_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
-    let mut sys = NetSystem::new(net);
-    let graph = engine::explore(&mut sys, config.max_states);
-    StateSpace::from_graph(graph, net.place_count(), None)
-}
-
-/// The original (pre-engine) explorer: full transition scan per state,
-/// cloned [`Marking`] keys in a `HashMap` dedup index.
+/// The original (pre-engine) explorer, up to `max_states` markings: full
+/// transition scan per state, cloned [`Marking`] keys in a `HashMap` dedup
+/// index.
 ///
 /// Retained verbatim as the reference implementation: the equivalence
 /// property tests check the engine against it state-for-state, and the
 /// `state_space_scaling` benchmark reports speedups relative to it. Use
-/// [`explore`] / [`explore_truncated`] everywhere else.
-///
-/// # Errors
-///
-/// Returns [`PetriError::StateBudgetExceeded`] like [`explore`].
-pub fn explore_naive(net: &PetriNet, config: ExploreConfig) -> Result<StateSpace, PetriError> {
-    let space = explore_naive_truncated(net, config);
-    if space.is_truncated() {
-        return Err(PetriError::StateBudgetExceeded {
-            budget: config.max_states,
-        });
-    }
-    Ok(space)
-}
-
-/// Truncating variant of [`explore_naive`].
+/// [`explore`] everywhere else.
 #[must_use]
-pub fn explore_naive_truncated(net: &PetriNet, config: ExploreConfig) -> StateSpace {
+pub fn explore_naive(net: &PetriNet, max_states: usize) -> StateSpace {
     let m0 = net.initial_marking();
     let mut index: HashMap<Marking, StateId> = HashMap::new();
     let mut markings = vec![m0.clone()];
@@ -441,10 +335,8 @@ pub fn explore_naive_truncated(net: &PetriNet, config: ExploreConfig) -> StateSp
             let succ = match index.entry(next) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
-                    if markings.len() >= config.max_states {
-                        outcome = engine::ExploreOutcome::Truncated {
-                            limit: config.max_states,
-                        };
+                    if markings.len() >= max_states {
+                        outcome = engine::ExploreOutcome::Truncated { limit: max_states };
                         break 'bfs;
                     }
                     let id = StateId(markings.len() as u32);
@@ -486,6 +378,12 @@ mod tests {
     use super::*;
     use crate::PlaceId;
 
+    fn explore_default(net: &PetriNet) -> StateSpace {
+        let space = explore(net, &EngineConfig::default(), None);
+        assert!(!space.is_truncated());
+        space
+    }
+
     /// A ring of `n` places with one token circulating.
     fn ring(n: usize) -> PetriNet {
         let mut net = PetriNet::new();
@@ -503,7 +401,7 @@ mod tests {
     #[test]
     fn ring_has_n_states() {
         let net = ring(5);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         assert_eq!(space.len(), 5);
         assert!(!space.is_truncated());
     }
@@ -511,7 +409,7 @@ mod tests {
     #[test]
     fn traces_replay_to_the_right_marking() {
         let net = ring(4);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         for s in space.states() {
             let mut m = net.initial_marking();
             for t in space.trace_to(s) {
@@ -524,21 +422,13 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         let net = ring(10);
-        let err = explore(
+        let partial = explore(
             &net,
-            ExploreConfig {
+            &EngineConfig {
                 max_states: 3,
-                ..ExploreConfig::default()
+                ..EngineConfig::default()
             },
-        )
-        .unwrap_err();
-        assert_eq!(err, PetriError::StateBudgetExceeded { budget: 3 });
-        let partial = explore_truncated(
-            &net,
-            ExploreConfig {
-                max_states: 3,
-                ..ExploreConfig::default()
-            },
+            None,
         );
         assert!(partial.is_truncated());
         assert_eq!(
@@ -566,14 +456,14 @@ mod tests {
             net.consume(t, from);
             net.produce(t, to);
         }
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         assert_eq!(space.len(), 4);
     }
 
     #[test]
     fn find_state_locates_marking() {
         let net = ring(6);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore_default(&net);
         let p3 = net.place_by_name("p3").unwrap();
         let s = space.find_state(|m| m.is_marked(p3)).unwrap();
         assert!(space.marking(s).is_marked(p3));
@@ -582,28 +472,27 @@ mod tests {
     }
 
     /// The engine path must be indistinguishable from the reference
-    /// explorer: same state numbering, same edges, same truncation.
+    /// explorer: same state numbering, same edges, same truncation, at
+    /// every thread count.
     #[test]
     fn engine_matches_naive_reference() {
         for budget in [usize::MAX, 7, 3] {
             let net = ring(9);
-            let cfg = ExploreConfig {
-                max_states: budget,
-                ..ExploreConfig::default()
-            };
-            let a = explore_truncated(&net, cfg);
-            let s = explore_serial_truncated(&net, cfg);
-            let b = explore_naive_truncated(&net, cfg);
-            assert_eq!(a.len(), b.len());
-            assert_eq!(s.len(), b.len());
-            assert_eq!(a.is_truncated(), b.is_truncated());
-            assert_eq!(s.is_truncated(), b.is_truncated());
-            for (sa, sb) in a.states().zip(b.states()) {
-                assert_eq!(a.marking(sa), b.marking(sb));
-                assert_eq!(a.successors(sa), b.successors(sb));
-                assert_eq!(a.trace_to(sa), b.trace_to(sb));
-                assert_eq!(s.marking(sa), b.marking(sb));
-                assert_eq!(s.successors(sa), b.successors(sb));
+            let b = explore_naive(&net, budget);
+            for threads in [1usize, 2] {
+                let cfg = EngineConfig {
+                    max_states: budget,
+                    threads,
+                    ..EngineConfig::default()
+                };
+                let a = explore(&net, &cfg, None);
+                assert_eq!(a.len(), b.len());
+                assert_eq!(a.outcome(), b.outcome());
+                for (sa, sb) in a.states().zip(b.states()) {
+                    assert_eq!(a.marking(sa), b.marking(sb));
+                    assert_eq!(a.successors(sa), b.successors(sb));
+                    assert_eq!(a.trace_to(sa), b.trace_to(sb));
+                }
             }
         }
     }

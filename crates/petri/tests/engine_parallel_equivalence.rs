@@ -1,34 +1,36 @@
-//! Differential suite: the parallel engine is observationally identical to
-//! the serial reference at every thread count — **including when a live
+//! Differential suite: the engine is observationally identical to the
+//! naive reference explorer at every thread count — **including when a live
 //! collector is attached**. Recording is observation-only by contract
-//! ([`rap_petri::engine::explore_parallel_traced`]): span timings and
-//! counters must never leak into state numbering, parent attribution, edge
-//! order or truncation. These tests pin that contract by comparing
-//! serial, untraced-parallel and traced-parallel runs state-for-state at
+//! ([`rap_petri::engine::EngineConfig::obs`]): span timings and counters
+//! must never leak into state numbering, parent attribution, edge order or
+//! truncation. These tests pin that contract by comparing the naive
+//! oracle, untraced and traced engine runs state-for-state at
 //! threads ∈ {1, 2, 8}.
 
 use proptest::prelude::*;
 use rap_obs::{Collector, Obs};
-use rap_petri::engine::{
-    explore, explore_parallel, explore_parallel_traced, EngineConfig, EngineStats, ExploredGraph,
-    NetSystem,
-};
+use rap_petri::engine::{explore, EngineConfig, EngineStats, ExploredGraph, NetSystem};
+use rap_petri::reachability::{explore_naive, StateSpace};
 use rap_petri::{PetriNet, PlaceId};
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn cfg(max_states: usize, threads: usize) -> EngineConfig {
+fn cfg(max_states: usize, threads: usize, obs: Obs) -> EngineConfig {
     EngineConfig {
         max_states,
         threads,
-        anchor_interval: 0,
-        deadline: None,
+        obs,
+        ..EngineConfig::default()
     }
 }
 
-/// Full observational equality: counts, outcome, parent links, CSR edges
-/// and every reconstructed state vector.
+fn explore_net(net: &PetriNet, cfg: &EngineConfig) -> ExploredGraph {
+    explore(|| NetSystem::new(net), cfg, None)
+}
+
+/// Full observational equality of two engine runs: counts, outcome, parent
+/// links, CSR edges and every reconstructed state vector.
 fn assert_identical(a: &ExploredGraph, b: &ExploredGraph, ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: state count");
     assert_eq!(a.outcome(), b.outcome(), "{ctx}: outcome");
@@ -37,6 +39,29 @@ fn assert_identical(a: &ExploredGraph, b: &ExploredGraph, ctx: &str) {
     assert_eq!(a.succ, b.succ, "{ctx}: edge order");
     for i in 0..a.len() {
         assert_eq!(a.state_vec(i), b.state_vec(i), "{ctx}: state {i}");
+    }
+}
+
+/// Full observational equality of an engine run and the naive oracle,
+/// graph for graph: counts, outcome, every state's words, its CSR edge row
+/// and its parent chain (as the trace the parent links spell).
+fn assert_matches_naive(g: &ExploredGraph, naive: &StateSpace, ctx: &str) {
+    assert_eq!(g.len(), naive.len(), "{ctx}: state count");
+    assert_eq!(g.outcome(), naive.outcome(), "{ctx}: outcome");
+    assert_eq!(g.succ_off.len(), g.len() + 1, "{ctx}: CSR offsets");
+    let mut words = vec![0u64; naive.word_count()];
+    for s in naive.states() {
+        let i = s.index();
+        naive.fill_marking_words(s, &mut words);
+        assert_eq!(g.state_vec(i), words, "{ctx}: state {i}");
+        let edges: Vec<(u32, u32)> = naive
+            .successors(s)
+            .iter()
+            .map(|&(t, n)| (t.index() as u32, n.index() as u32))
+            .collect();
+        assert_eq!(g.successors(i), edges.as_slice(), "{ctx}: edges of {i}");
+        let trace: Vec<u32> = naive.trace_to(s).iter().map(|t| t.index() as u32).collect();
+        assert_eq!(g.trace_to(i), trace, "{ctx}: parents of {i}");
     }
 }
 
@@ -87,24 +112,19 @@ fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
     })
 }
 
-/// A live collector never perturbs the result: traced parallel ≡ serial on
-/// a ring, across thread counts and budgets, and the collector actually
-/// observed the run (per-level spans plus the end-of-run counter flush).
+/// A live collector never perturbs the result: the traced engine ≡ the
+/// naive oracle on a ring, across thread counts and budgets, and the
+/// collector actually observed the run (per-level spans plus the
+/// end-of-run counter flush).
 #[test]
-fn traced_parallel_matches_serial_at_every_thread_count() {
+fn traced_engine_matches_naive_at_every_thread_count() {
     let net = ring(64);
-    let mut sys = NetSystem::new(&net);
     for budget in [usize::MAX, 64, 17, 3, 1] {
-        let serial = explore(&mut sys, budget);
+        let naive = explore_naive(&net, budget);
         for threads in THREAD_COUNTS {
             let collector = Arc::new(Collector::new());
-            let traced = explore_parallel_traced(
-                || NetSystem::new(&net),
-                &cfg(budget, threads),
-                None,
-                &Obs::collecting(&collector),
-            );
-            assert_identical(&serial, &traced, &format!("t={threads} budget={budget}"));
+            let traced = explore_net(&net, &cfg(budget, threads, Obs::collecting(&collector)));
+            assert_matches_naive(&traced, &naive, &format!("t={threads} budget={budget}"));
 
             let snap = collector.snapshot();
             let stats = EngineStats::from_counters(&snap.counters);
@@ -122,20 +142,15 @@ fn traced_parallel_matches_serial_at_every_thread_count() {
     }
 }
 
-/// Tracing is invisible to the output: traced and untraced parallel runs
+/// Tracing is invisible to the output: traced and untraced engine runs
 /// are bit-identical at every thread count.
 #[test]
 fn tracing_is_observation_only() {
     let net = ring(150); // 3 words per state: exercises the delta path too
     for threads in THREAD_COUNTS {
-        let untraced = explore_parallel(|| NetSystem::new(&net), &cfg(1_000, threads), None);
+        let untraced = explore_net(&net, &cfg(1_000, threads, Obs::none()));
         let collector = Arc::new(Collector::new());
-        let traced = explore_parallel_traced(
-            || NetSystem::new(&net),
-            &cfg(1_000, threads),
-            None,
-            &Obs::collecting(&collector),
-        );
+        let traced = explore_net(&net, &cfg(1_000, threads, Obs::collecting(&collector)));
         assert_identical(&untraced, &traced, &format!("t={threads}"));
         assert!(collector.snapshot().wall_ns > 0);
     }
@@ -144,24 +159,18 @@ fn tracing_is_observation_only() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The property-level version: on random nets, serial, untraced
-    /// parallel and traced parallel (live collector) agree exactly at
-    /// threads ∈ {1, 2, 8}.
+    /// The property-level version: on random nets, the naive oracle, the
+    /// untraced engine and the traced engine (live collector) agree
+    /// exactly at threads ∈ {1, 2, 8}.
     #[test]
-    fn parallel_equivalence_holds_under_tracing(net in arb_net(10, 8)) {
-        let mut sys = NetSystem::new(&net);
-        let serial = explore(&mut sys, 2_000);
+    fn engine_equivalence_holds_under_tracing(net in arb_net(10, 8)) {
+        let naive = explore_naive(&net, 2_000);
         for threads in THREAD_COUNTS {
-            let plain = explore_parallel(|| NetSystem::new(&net), &cfg(2_000, threads), None);
+            let plain = explore_net(&net, &cfg(2_000, threads, Obs::none()));
             let collector = Arc::new(Collector::new());
-            let traced = explore_parallel_traced(
-                || NetSystem::new(&net),
-                &cfg(2_000, threads),
-                None,
-                &Obs::collecting(&collector),
-            );
-            assert_identical(&serial, &plain, &format!("plain t={threads}"));
-            assert_identical(&serial, &traced, &format!("traced t={threads}"));
+            let traced = explore_net(&net, &cfg(2_000, threads, Obs::collecting(&collector)));
+            assert_matches_naive(&plain, &naive, &format!("plain t={threads}"));
+            assert_identical(&plain, &traced, &format!("traced t={threads}"));
             let stats = EngineStats::from_counters(&collector.snapshot().counters);
             prop_assert_eq!(stats.states, traced.len() as u64);
         }

@@ -1,7 +1,8 @@
 //! Property-based tests for the firing rule and reachability explorer.
 
 use proptest::prelude::*;
-use rap_petri::reachability::{explore_truncated, ExploreConfig};
+use rap_petri::engine::EngineConfig;
+use rap_petri::reachability::{explore, StateSpace};
 use rap_petri::{Marking, PetriNet, PlaceId};
 
 /// Strategy: a random net over `np` places and `nt` transitions with small
@@ -43,6 +44,14 @@ fn token_count(m: &Marking) -> usize {
     m.count()
 }
 
+fn explore_budget(net: &PetriNet, max_states: usize) -> StateSpace {
+    let cfg = EngineConfig {
+        max_states,
+        ..EngineConfig::default()
+    };
+    explore(net, &cfg, None)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -70,7 +79,7 @@ proptest! {
     /// Every state in the explored space is reachable by replaying its trace.
     #[test]
     fn traces_replay(net in arb_net(10, 8)) {
-        let space = explore_truncated(&net, ExploreConfig { max_states: 5_000, ..ExploreConfig::default() });
+        let space = explore_budget(&net, 5_000);
         for s in space.states() {
             let mut m = net.initial_marking();
             for t in space.trace_to(s) {
@@ -102,7 +111,7 @@ proptest! {
             net.consume(t, places[from]);
             net.produce(t, places[to]);
         }
-        let space = explore_truncated(&net, ExploreConfig { max_states: 5_000, ..ExploreConfig::default() });
+        let space = explore_budget(&net, 5_000);
         prop_assume!(!space.is_truncated());
         let n0 = token_count(&space.marking(space.initial()));
         for s in space.states() {
@@ -113,8 +122,8 @@ proptest! {
     /// Exploration is deterministic: two runs discover identical spaces.
     #[test]
     fn exploration_is_deterministic(net in arb_net(9, 9)) {
-        let a = explore_truncated(&net, ExploreConfig { max_states: 2_000, ..ExploreConfig::default() });
-        let b = explore_truncated(&net, ExploreConfig { max_states: 2_000, ..ExploreConfig::default() });
+        let a = explore_budget(&net, 2_000);
+        let b = explore_budget(&net, 2_000);
         prop_assert_eq!(a.len(), b.len());
         for (sa, sb) in a.states().zip(b.states()) {
             prop_assert_eq!(a.marking(sa), b.marking(sb));
@@ -128,7 +137,7 @@ proptest! {
     /// (the complementary-place firing discipline).
     #[test]
     fn explorer_preserves_one_safety(net in arb_net(10, 9)) {
-        let space = explore_truncated(&net, ExploreConfig { max_states: 4_000, ..ExploreConfig::default() });
+        let space = explore_budget(&net, 4_000);
         for s in space.states() {
             let m = space.marking(s);
             prop_assert_eq!(m.len(), net.place_count());
@@ -156,7 +165,7 @@ proptest! {
     /// trace reaches its dead marking, in which nothing is enabled.
     #[test]
     fn counterexample_traces_replay_to_offending_state(net in arb_net(9, 8)) {
-        let space = explore_truncated(&net, ExploreConfig { max_states: 4_000, ..ExploreConfig::default() });
+        let space = explore_budget(&net, 4_000);
         for dead in rap_petri::analysis::find_deadlocks(&space) {
             let mut m = net.initial_marking();
             for t in &dead.trace {

@@ -281,7 +281,8 @@ mod tests {
 
     #[test]
     fn witness_search_finds_shortest() {
-        use rap_petri::reachability::{explore, ExploreConfig};
+        use rap_petri::engine::EngineConfig;
+        use rap_petri::reachability::explore;
         let mut net = PetriNet::new();
         let a = net.add_place("a", true);
         let b = net.add_place("b", false);
@@ -292,7 +293,7 @@ mod tests {
         let t2 = net.add_transition("t2");
         net.consume(t2, b);
         net.produce(t2, c);
-        let space = explore(&net, ExploreConfig::default()).unwrap();
+        let space = explore(&net, &EngineConfig::default(), None);
         let pred = Predicate::parse(r#"marked("c")"#)
             .unwrap()
             .compile(&net)

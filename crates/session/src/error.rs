@@ -106,8 +106,8 @@ mod tests {
                 "dataflow: unknown node `x`",
             ),
             (
-                PetriError::StateBudgetExceeded { budget: 7 }.into(),
-                "petri net: state space exceeds the budget of 7 states",
+                PetriError::DuplicateName("p".into()).into(),
+                "petri net: duplicate node name `p`",
             ),
             (
                 ReachError::UnboundVariable { var: "p".into() }.into(),

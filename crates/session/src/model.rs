@@ -5,9 +5,10 @@ use crate::persist::Persist;
 use crate::Error;
 use dfs_core::perf::{analyse_with_activity, PerfDetail, PerfReport};
 use dfs_core::timed::{measure_steady_period, ChoicePolicy, SteadyStatePeriod};
-use dfs_core::{to_petri, Dfs, Lts, NodeId, PetriImage};
+use dfs_core::{to_petri, Dfs, DfsError, Lts, NodeId, PetriImage};
 use rap_obs::{CounterSnapshot, Meter, Obs};
 use rap_petri::analysis::QuickCheck;
+use rap_petri::engine::{EngineConfig, ExploreOutcome};
 use rap_silicon::cost::CostModel;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -25,6 +26,15 @@ where
     K: std::hash::Hash + Eq,
 {
     Arc::clone(map.lock().expect("slot map").entry(key).or_default())
+}
+
+/// The engine settings of a budgeted query, recording into `obs`.
+fn engine_config(max_states: usize, obs: &Obs) -> EngineConfig {
+    EngineConfig {
+        max_states,
+        obs: obs.clone(),
+        ..EngineConfig::default()
+    }
 }
 
 /// Runs `f` through `slot` exactly once; the returned flag is `true` iff
@@ -352,7 +362,8 @@ impl CompiledModel {
 
     /// The reachable LTS of the direct semantics under `budget` —
     /// computed once per distinct budget, equal to
-    /// [`Lts::explore`]`(self.dfs(), budget)`.
+    /// [`Lts::explore`]`(self.dfs(), &cfg, None)` with `cfg.max_states =
+    /// budget`.
     ///
     /// # Errors
     ///
@@ -364,9 +375,13 @@ impl CompiledModel {
         let slot = keyed_slot(&self.lts, budget);
         let (res, ran) = traced_once(&slot, || {
             qobs.time("session.compute", |o| {
-                Lts::explore_traced(&self.dfs, budget, o)
-                    .map(Arc::new)
-                    .map_err(Error::from)
+                let lts = Lts::explore(&self.dfs, &engine_config(budget, o), None);
+                match lts.outcome() {
+                    ExploreOutcome::Complete => Ok(Arc::new(lts)),
+                    ExploreOutcome::Truncated { limit } => {
+                        Err(DfsError::StateBudgetExceeded { budget: limit }.into())
+                    }
+                }
             })
         });
         self.meter
@@ -377,7 +392,7 @@ impl CompiledModel {
     /// The budgeted deadlock/1-safety screen over the Petri image —
     /// computed once per distinct budget, equal to
     /// [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
-    /// &img.complementary_pairs(), budget)`.
+    /// &img.complementary_pairs(), &cfg)` with `cfg.max_states = budget`.
     /// Demands [`petri`](Self::petri), so the translation is still
     /// performed at most once per model.
     #[must_use]
@@ -399,11 +414,10 @@ impl CompiledModel {
             ran = true;
             let img = self.petri();
             let check = qobs.time("session.compute", |o| {
-                rap_petri::analysis::quick_check_traced(
+                rap_petri::analysis::quick_check(
                     &img.net,
                     &img.complementary_pairs(),
-                    budget,
-                    o,
+                    &engine_config(budget, o),
                 )
             });
             if let Some(p) = &self.persist {

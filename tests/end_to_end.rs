@@ -59,7 +59,8 @@ edge r2 -> r0
 fn reach_predicates_on_dfs_models() {
     let p = build_pipeline(&PipelineSpec::reconfigurable_depth(2, 1).unwrap()).unwrap();
     let img = to_petri(&p.dfs);
-    let space = rap::petri::reachability::explore(&img.net, Default::default()).expect("explores");
+    let space = rap::petri::reachability::explore(&img.net, &Default::default(), None);
+    assert!(!space.is_truncated());
 
     // the excluded stage's control loop forever carries a False token:
     // its guard register is never true-marked
@@ -112,7 +113,12 @@ fn misconfiguration_is_caught_at_every_level() {
     let dfs = b.finish().unwrap();
 
     // level 1: direct LTS
-    let lts = rap::dfs::Lts::explore(&dfs, 100_000).unwrap();
+    let cfg = rap::petri::engine::EngineConfig {
+        max_states: 100_000,
+        ..Default::default()
+    };
+    let lts = rap::dfs::Lts::explore(&dfs, &cfg, None);
+    assert!(!lts.is_truncated());
     assert!(!lts.deadlocks().is_empty());
 
     // level 2: PN verification with Reach-based mismatch detection

@@ -14,10 +14,16 @@ use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, DfsState, Lts};
-use rap::petri::reachability::{
-    explore_naive_truncated, explore_truncated, ExploreConfig, StateSpace,
-};
+use rap::petri::engine::EngineConfig;
+use rap::petri::reachability::{explore, explore_naive, StateSpace};
 use rap::petri::{PetriNet, PlaceId};
+
+fn budget(max_states: usize) -> EngineConfig {
+    EngineConfig {
+        max_states,
+        ..EngineConfig::default()
+    }
+}
 
 /// Random net over `np` places and `nt` transitions with small arc lists.
 fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
@@ -74,12 +80,8 @@ fn arb_pipeline() -> impl Strategy<Value = Dfs> {
 /// Full equivalence of the two Petri explorers, including the replay of
 /// every counterexample (per-state shortest trace).
 fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
-    let cfg = ExploreConfig {
-        max_states,
-        ..ExploreConfig::default()
-    };
-    let engine = explore_truncated(net, cfg);
-    let naive = explore_naive_truncated(net, cfg);
+    let engine = explore(net, &budget(max_states), None);
+    let naive = explore_naive(net, max_states);
     prop_assert_eq!(engine.len(), naive.len());
     prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
     for (a, b) in engine.states().zip(naive.states()) {
@@ -105,8 +107,8 @@ fn replay_traces(net: &PetriNet, space: &StateSpace) -> Result<(), TestCaseError
 }
 
 fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
-    let engine = Lts::explore_truncated(dfs, max_states);
-    let naive = Lts::explore_naive_truncated(dfs, max_states);
+    let engine = Lts::explore(dfs, &budget(max_states), None);
+    let naive = Lts::explore_naive(dfs, max_states);
     prop_assert_eq!(engine.len(), naive.len());
     prop_assert_eq!(engine.is_truncated(), naive.is_truncated());
     for (a, b) in engine.states().zip(naive.states()) {
@@ -152,8 +154,8 @@ proptest! {
         let img = to_petri(&dfs);
         assert_pn_equivalent(&img.net, 3_000)?;
         assert_lts_equivalent(&dfs, 3_000)?;
-        let pn = explore_truncated(&img.net, ExploreConfig { max_states: 3_000, ..ExploreConfig::default() });
-        let lts = Lts::explore_truncated(&dfs, 3_000);
+        let pn = explore(&img.net, &budget(3_000), None);
+        let lts = Lts::explore(&dfs, &budget(3_000), None);
         if !pn.is_truncated() && !lts.is_truncated() {
             prop_assert_eq!(pn.len(), lts.len());
         }
@@ -168,19 +170,15 @@ fn wagged_shapes_agree() {
         let w = wagged_pipeline(ways, 1, 1.0).unwrap();
         let img = to_petri(&w.dfs);
         let cap = 30_000;
-        let cfg = ExploreConfig {
-            max_states: cap,
-            ..ExploreConfig::default()
-        };
-        let engine = explore_truncated(&img.net, cfg);
-        let naive = explore_naive_truncated(&img.net, cfg);
+        let engine = explore(&img.net, &budget(cap), None);
+        let naive = explore_naive(&img.net, cap);
         assert_eq!(engine.len(), naive.len(), "ways={ways}");
         assert_eq!(engine.is_truncated(), naive.is_truncated());
         for (a, b) in engine.states().zip(naive.states()) {
             assert_eq!(engine.successors(a), naive.successors(b));
         }
-        let l_engine = Lts::explore_truncated(&w.dfs, cap);
-        let l_naive = Lts::explore_naive_truncated(&w.dfs, cap);
+        let l_engine = Lts::explore(&w.dfs, &budget(cap), None);
+        let l_naive = Lts::explore_naive(&w.dfs, cap);
         assert_eq!(l_engine.len(), l_naive.len(), "ways={ways}");
         assert_eq!(l_engine.is_truncated(), l_naive.is_truncated());
     }

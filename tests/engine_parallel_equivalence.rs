@@ -1,21 +1,22 @@
-//! Parallel ↔ serial engine equivalence, property-tested.
+//! Engine ↔ naive-oracle equivalence at every thread count, property-tested.
 //!
-//! The parallel engine (`rap_petri::engine::explore_parallel`) claims to be
-//! *observationally identical* to the serial engine at every thread count:
+//! The state-space engine (`rap_petri::engine::explore`) claims to be
+//! *observationally identical* at every thread count to a sequential BFS:
 //! same state numbering, same edges, same truncation point, same witness
-//! traces — not just equal counts. This suite pins that claim on random
-//! inputs from both ends of the tool (raw random Petri nets and the paper's
-//! pipeline generators), at threads ∈ {1, 2, 8} plus whatever
-//! `RAP_TEST_THREADS` asks for, including under tiny truncation budgets and
-//! with forced delta-compression (`anchor_interval` > 1). It mirrors
-//! `engine_equivalence.rs`, which pinned the serial engine against the
-//! naive explorers in PR 2.
+//! traces — not just equal counts. This suite pins that claim against the
+//! naive reference explorers (`reachability::explore_naive`,
+//! `Lts::explore_naive`) on random inputs from both ends of the tool (raw
+//! random Petri nets and the paper's pipeline generators), at
+//! threads ∈ {1, 2, 8} plus whatever `RAP_TEST_THREADS` asks for, including
+//! under tiny truncation budgets and with forced delta-compression
+//! (`anchor_interval` = 3). `engine_equivalence.rs` covers the default
+//! configuration; this suite sweeps the engine's own knobs.
 //!
-//! Since the observability layer landed, every parallel run here executes
-//! **with a live [`rap::obs::Collector`] attached** — the suite therefore
-//! simultaneously pins the tracing determinism contract: recording is
-//! observation-only and can never perturb state numbering, edge order,
-//! witness traces or truncation, at any thread count.
+//! Every engine run here executes **with a live [`rap::obs::Collector`]
+//! attached** — the suite therefore simultaneously pins the tracing
+//! determinism contract: recording is observation-only and can never
+//! perturb state numbering, edge order, witness traces or truncation, at
+//! any thread count.
 
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
@@ -23,10 +24,7 @@ use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, Lts};
 use rap::obs::{Collector, Obs};
 use rap::petri::engine::EngineConfig;
-use rap::petri::reachability::{
-    explore_serial_truncated, explore_truncated, explore_truncated_traced, ExploreConfig,
-    StateSpace,
-};
+use rap::petri::reachability::{explore, explore_naive, StateSpace};
 use rap::petri::{PetriNet, PlaceId};
 use std::sync::Arc;
 
@@ -111,68 +109,69 @@ fn assert_spaces_identical(a: &StateSpace, b: &StateSpace, ctx: &str) -> Result<
     Ok(())
 }
 
-/// Parallel at every thread count ≡ serial, for one net and budget. The
-/// parallel side runs **traced** (live collector): equivalence holding
-/// here is the proof that recording is observation-only.
-fn assert_parallel_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
-    let serial = explore_serial_truncated(
-        net,
-        ExploreConfig {
-            max_states,
-            ..ExploreConfig::default()
-        },
-    );
+/// The engine configurations under test for one budget: every thread
+/// count × anchor interval {auto, 3}, each recording into a fresh live
+/// collector (returned alongside for the liveness check).
+fn traced_configs(max_states: usize) -> Vec<(String, EngineConfig, Arc<Collector>)> {
+    let mut out = Vec::new();
     for threads in thread_counts() {
-        let collector = Arc::new(Collector::new());
-        let par = explore_truncated_traced(
-            net,
-            ExploreConfig {
+        // anchor_interval 3 forces delta-compressed storage into the
+        // comparison as well
+        for anchor_interval in [0usize, 3] {
+            let collector = Arc::new(Collector::new());
+            let cfg = EngineConfig {
                 max_states,
                 threads,
-                deadline: None,
-            },
-            &Obs::collecting(&collector),
-        );
-        assert_spaces_identical(&par, &serial, &format!("threads={threads}"))?;
+                anchor_interval,
+                obs: Obs::collecting(&collector),
+                ..EngineConfig::default()
+            };
+            out.push((
+                format!("threads={threads} anchors={anchor_interval}"),
+                cfg,
+                collector,
+            ));
+        }
+    }
+    out
+}
+
+/// The traced engine in every configuration ≡ the naive oracle, for one
+/// net and budget: equivalence holding here is also the proof that
+/// recording is observation-only.
+fn assert_parallel_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
+    let naive = explore_naive(net, max_states);
+    for (ctx, cfg, collector) in traced_configs(max_states) {
+        let par = explore(net, &cfg, None);
+        assert_spaces_identical(&par, &naive, &ctx)?;
         // the collector really was live: the engine flushed its counters
         prop_assert_eq!(
             collector.snapshot().counters.get("engine.states"),
             par.len() as u64,
-            "threads={}: collector missed the run",
-            threads
+            "{}: collector missed the run",
+            &ctx
         );
     }
     Ok(())
 }
 
 fn assert_lts_parallel_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseError> {
-    let serial = Lts::explore_serial_truncated(dfs, max_states);
-    for threads in thread_counts() {
-        // anchor_interval 3 forces delta-compressed storage into the
-        // comparison as well; tracing through a live collector keeps the
-        // observation-only contract under test on the LTS backend too
-        for anchor_interval in [0usize, 3] {
-            let collector = Arc::new(Collector::new());
-            let par = Lts::explore_with_traced(
-                dfs,
-                &EngineConfig {
-                    max_states,
-                    threads,
-                    anchor_interval,
-                    deadline: None,
-                },
-                None,
-                &Obs::collecting(&collector),
-            );
-            let ctx = format!("threads={threads} anchors={anchor_interval}");
-            prop_assert_eq!(par.len(), serial.len(), "{}: state count", &ctx);
-            prop_assert_eq!(par.outcome(), serial.outcome(), "{}: outcome", &ctx);
-            for (sa, sb) in par.states().zip(serial.states()) {
-                prop_assert_eq!(par.state(sa), serial.state(sb), "{}: state", &ctx);
-                prop_assert_eq!(par.successors(sa), serial.successors(sb), "{}: edges", &ctx);
-                prop_assert_eq!(par.trace_to(sa), serial.trace_to(sb), "{}: trace", &ctx);
-            }
+    let naive = Lts::explore_naive(dfs, max_states);
+    for (ctx, cfg, collector) in traced_configs(max_states) {
+        let par = Lts::explore(dfs, &cfg, None);
+        prop_assert_eq!(par.len(), naive.len(), "{}: state count", &ctx);
+        prop_assert_eq!(par.outcome(), naive.outcome(), "{}: outcome", &ctx);
+        for (sa, sb) in par.states().zip(naive.states()) {
+            prop_assert_eq!(par.state(sa), naive.state(sb), "{}: state", &ctx);
+            prop_assert_eq!(par.successors(sa), naive.successors(sb), "{}: edges", &ctx);
+            prop_assert_eq!(par.trace_to(sa), naive.trace_to(sb), "{}: trace", &ctx);
         }
+        prop_assert_eq!(
+            collector.snapshot().counters.get("engine.states"),
+            par.len() as u64,
+            "{}: collector missed the run",
+            &ctx
+        );
     }
     Ok(())
 }
@@ -180,10 +179,10 @@ fn assert_lts_parallel_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), Te
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random raw nets: the level-synchronous commit makes the parallel
-    /// engine's ids, edges and traces identical to the serial engine's.
+    /// Random raw nets: the level-synchronous commit makes the engine's
+    /// ids, edges and traces identical to the naive explorer's.
     #[test]
-    fn random_nets_parallel_equals_serial(net in arb_net(10, 8)) {
+    fn random_nets_parallel_equals_naive(net in arb_net(10, 8)) {
         assert_parallel_equivalent(&net, 3_000)?;
     }
 
@@ -199,7 +198,7 @@ proptest! {
 
     /// Random paper pipelines, both backends, with forced delta anchors.
     #[test]
-    fn random_pipelines_parallel_equals_serial(dfs in arb_pipeline()) {
+    fn random_pipelines_parallel_equals_naive(dfs in arb_pipeline()) {
         let img = to_petri(&dfs);
         assert_parallel_equivalent(&img.net, 3_000)?;
         assert_lts_parallel_equivalent(&dfs, 3_000)?;
@@ -209,31 +208,23 @@ proptest! {
 /// The deterministic wagged shapes (guard/choice structure beyond what the
 /// random pipelines reach), including truncation budgets.
 #[test]
-fn wagged_shapes_parallel_equals_serial() {
+fn wagged_shapes_parallel_equals_naive() {
     for ways in [1usize, 2] {
         let w = wagged_pipeline(ways, 1, 1.0).unwrap();
         let img = to_petri(&w.dfs);
         for cap in [30_000usize, 500] {
-            let serial = explore_serial_truncated(
-                &img.net,
-                ExploreConfig {
-                    max_states: cap,
-                    ..ExploreConfig::default()
-                },
-            );
+            let naive = explore_naive(&img.net, cap);
             for threads in thread_counts() {
-                let par = explore_truncated(
-                    &img.net,
-                    ExploreConfig {
-                        max_states: cap,
-                        threads,
-                        deadline: None,
-                    },
-                );
-                assert_eq!(par.len(), serial.len(), "ways={ways} threads={threads}");
-                assert_eq!(par.outcome(), serial.outcome());
-                for (sa, sb) in par.states().zip(serial.states()) {
-                    assert_eq!(par.successors(sa), serial.successors(sb));
+                let cfg = EngineConfig {
+                    max_states: cap,
+                    threads,
+                    ..EngineConfig::default()
+                };
+                let par = explore(&img.net, &cfg, None);
+                assert_eq!(par.len(), naive.len(), "ways={ways} threads={threads}");
+                assert_eq!(par.outcome(), naive.outcome());
+                for (sa, sb) in par.states().zip(naive.states()) {
+                    assert_eq!(par.successors(sa), naive.successors(sb));
                 }
             }
         }
@@ -246,14 +237,12 @@ fn wagged_shapes_parallel_equals_serial() {
 fn parallel_witness_traces_replay() {
     let w = wagged_pipeline(2, 1, 1.0).unwrap();
     let img = to_petri(&w.dfs);
-    let space = explore_truncated(
-        &img.net,
-        ExploreConfig {
-            max_states: 2_000,
-            threads: 8,
-            deadline: None,
-        },
-    );
+    let cfg = EngineConfig {
+        max_states: 2_000,
+        threads: 8,
+        ..EngineConfig::default()
+    };
+    let space = explore(&img.net, &cfg, None);
     assert!(space.is_truncated());
     for s in space.states() {
         let mut m = img.net.initial_marking();

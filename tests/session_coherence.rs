@@ -20,6 +20,7 @@ use rap::dfs::timed::{measure_steady_period, ChoicePolicy};
 use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, DfsError, Lts};
 use rap::petri::analysis::quick_check;
+use rap::petri::engine::{EngineConfig, ExploreOutcome};
 use rap::session::{CostModel, CostSummary};
 use rap::{Error, Session};
 use std::sync::Arc;
@@ -50,6 +51,13 @@ fn arb_wagged() -> impl Strategy<Value = (Dfs, rap::dfs::NodeId)> {
         let w = wagged_pipeline(ways, depth, DELAYS[d]).unwrap();
         (w.dfs, w.output)
     })
+}
+
+fn budget_cfg(max_states: usize) -> EngineConfig {
+    EngineConfig {
+        max_states,
+        ..EngineConfig::default()
+    }
 }
 
 fn assert_perf_bit_identical(got: &PerfDetail, want: &PerfDetail) {
@@ -115,10 +123,12 @@ fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
         sorted(want_img.complementary_pairs())
     );
 
-    // lts == Lts::explore: same states, successors and deadlocks — or the
-    // identical budget-exceeded error (errors are cached artifacts too)
-    match (model.lts(lts_budget), Lts::explore(dfs, lts_budget)) {
-        (Ok(lts), Ok(want_lts)) => {
+    // lts == Lts::explore: same states, successors and deadlocks — or, when
+    // the budget truncates the direct exploration, the budget-exceeded
+    // error (errors are cached artifacts too)
+    let want_lts = Lts::explore(dfs, &budget_cfg(lts_budget), None);
+    match (model.lts(lts_budget), want_lts.outcome()) {
+        (Ok(lts), ExploreOutcome::Complete) => {
             assert_eq!(lts.len(), want_lts.len());
             assert_eq!(lts.is_truncated(), want_lts.is_truncated());
             assert_eq!(lts.deadlocks(), want_lts.deadlocks());
@@ -126,13 +136,20 @@ fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
                 assert_eq!(lts.successors(s), want_lts.successors(s));
             }
         }
-        (Err(got), Err(want)) => assert_eq!(got, Error::Dfs(want)),
+        (Err(got), ExploreOutcome::Truncated { limit }) => assert_eq!(
+            got,
+            Error::Dfs(DfsError::StateBudgetExceeded { budget: limit })
+        ),
         (got, want) => panic!("session {got:?} disagrees with direct {want:?}"),
     }
 
     // quick_check == quick_check over the direct image
     let check = model.quick_check(check_budget);
-    let want_check = quick_check(&want_img.net, &want_img.complementary_pairs(), check_budget);
+    let want_check = quick_check(
+        &want_img.net,
+        &want_img.complementary_pairs(),
+        &budget_cfg(check_budget),
+    );
     assert_eq!(check.states, want_check.states);
     assert_eq!(check.truncated, want_check.truncated);
     assert_eq!(check.deadlock_free, want_check.deadlock_free);
@@ -292,7 +309,11 @@ fn one_translation_and_one_unfolding_serve_perf_check_and_cost() {
         rap::dfs::perf::Construction::PhaseUnfolded { phases: 2 }
     ));
     let want_img = to_petri(&w.dfs);
-    let want_check = quick_check(&want_img.net, &want_img.complementary_pairs(), 100_000);
+    let want_check = quick_check(
+        &want_img.net,
+        &want_img.complementary_pairs(),
+        &budget_cfg(100_000),
+    );
     assert_eq!(check.states, want_check.states);
     assert_eq!(check.deadlock_free, want_check.deadlock_free);
     let want_cost = direct_cost(&w.dfs, &cost);
@@ -319,8 +340,12 @@ fn cached_errors_match_direct_errors() {
     let model = session.compile(&p.dfs);
     // a 10-state budget is always exceeded
     let got = model.lts(10).unwrap_err();
-    let want = Lts::explore(&p.dfs, 10).unwrap_err();
-    assert_eq!(got, Error::Dfs(want));
+    let direct = Lts::explore(&p.dfs, &budget_cfg(10), None);
+    assert_eq!(direct.outcome(), ExploreOutcome::Truncated { limit: 10 });
+    assert_eq!(
+        got,
+        Error::Dfs(DfsError::StateBudgetExceeded { budget: 10 })
+    );
     let again = model.lts(10).unwrap_err();
     assert_eq!(got, again);
     assert_eq!(model.stats().lts_explorations, 1, "failure explored once");

@@ -21,6 +21,13 @@ use rap::petri::engine::EngineConfig;
 const WAGGED2_FULL: usize = 1_476_774;
 const WAGGED2_QUOTIENT: usize = 738_387;
 
+fn budget_cfg(max_states: usize) -> EngineConfig {
+    EngineConfig {
+        max_states,
+        ..EngineConfig::default()
+    }
+}
+
 #[test]
 fn wagged2_quotient_verdicts_equal_full_verdicts() {
     let w = wagged_pipeline(2, 1, 1.0).unwrap();
@@ -35,7 +42,7 @@ fn wagged2_quotient_verdicts_equal_full_verdicts() {
     );
 
     let budget = 2_000_000;
-    let full = quick_check(&img.net, &pairs, budget);
+    let full = quick_check(&img.net, &pairs, &budget_cfg(budget));
     let quo = quick_check_quotient(&img.net, &pairs, budget, &sym);
 
     // both complete within budget and agree: clean on the whole space
@@ -61,18 +68,16 @@ fn wagged2_lts_quotient_matches_petri_quotient() {
     let sym = node_rotation_symmetry(&w.dfs, &w.way_rotation).unwrap();
     assert_eq!(sym.order(), 2);
 
-    let full = Lts::explore_truncated(&w.dfs, 2_000_000);
+    let cfg = EngineConfig {
+        max_states: 2_000_000,
+        ..EngineConfig::default()
+    };
+    let full = Lts::explore(&w.dfs, &cfg, None);
     assert!(!full.is_truncated());
     assert_eq!(full.len(), WAGGED2_FULL);
     assert!(full.deadlocks().is_empty());
 
-    let cfg = EngineConfig {
-        max_states: 2_000_000,
-        threads: 0,
-        anchor_interval: 0,
-        deadline: None,
-    };
-    let quo = Lts::explore_with(&w.dfs, &cfg, Some(&sym));
+    let quo = Lts::explore(&w.dfs, &cfg, Some(&sym));
     assert!(!quo.is_truncated());
     assert_eq!(quo.len(), WAGGED2_QUOTIENT);
     assert!(quo.deadlocks().is_empty());
@@ -94,7 +99,7 @@ fn wagged3_quotient_verdicts_equal_full_verdicts_under_budget() {
     assert!(sym.pairs_closed(&pairs));
 
     let budget = 60_000;
-    let full = quick_check(&img.net, &pairs, budget);
+    let full = quick_check(&img.net, &pairs, &budget_cfg(budget));
     let quo = quick_check_quotient(&img.net, &pairs, budget, &sym);
 
     assert!(full.truncated && quo.truncated);
@@ -117,14 +122,14 @@ fn wagged3_quotient_explores_only_canonical_representatives() {
     let sym = img.induced_symmetry(&w.way_rotation).unwrap();
     let ssym = sym.state_symmetry();
 
-    let space = rap::petri::reachability::explore_quotient_truncated(
+    let space = rap::petri::reachability::explore(
         &img.net,
-        rap::petri::reachability::ExploreConfig {
+        &EngineConfig {
             max_states: 5_000,
             threads: 2,
-            deadline: None,
+            ..EngineConfig::default()
         },
-        &ssym,
+        Some(&ssym),
     );
     let words = space.word_count();
     let mut raw = vec![0u64; words];
