@@ -127,7 +127,7 @@ fn trace_labels(img: &PetriImage, trace: &[rap_petri::TransitionId]) -> Vec<Stri
 }
 
 fn deadlocks(img: &PetriImage, space: &StateSpace) -> Vec<Counterexample> {
-    pn_analysis::find_deadlocks(space)
+    pn_analysis::find_deadlocks(&img.net, space)
         .into_iter()
         .map(|d| Counterexample {
             trace: trace_labels(img, &d.trace),

@@ -1,9 +1,10 @@
 //! Property-based tests over randomly generated DFS models.
 
+use dfs_core::verify::certify_translation_safety;
 use dfs_core::{to_petri, Dfs, DfsBuilder, DfsState, Lts, NodeKind, TokenValue};
 use proptest::prelude::*;
-use rap_petri::analysis::check_complementary_pairs;
-use rap_petri::engine::EngineConfig;
+use rap_petri::analysis::{check_complementary_pairs, quick_check, QuickVerdict};
+use rap_petri::engine::{EngineConfig, ExploreOutcome};
 use rap_petri::reachability::explore;
 
 fn budget(max_states: usize) -> EngineConfig {
@@ -59,12 +60,24 @@ proptest! {
 
     /// The PN image of any model keeps every complementary place pair
     /// exactly singly-marked over its whole reachable space (1-safety of
-    /// the Fig. 3 translation).
+    /// the Fig. 3 translation). The structural certificate proves the same
+    /// without exploring, and `quick_check`, which then skips the scan,
+    /// reports what the scan reports.
     #[test]
     fn translation_is_one_safe(dfs in arb_dfs()) {
         let img = to_petri(&dfs);
+        let pairs = img.complementary_pairs();
         let space = explore(&img.net, &budget(20_000), None);
-        prop_assert!(check_complementary_pairs(&space, &img.complementary_pairs()).is_none());
+        let scan = check_complementary_pairs(&space, &pairs);
+        prop_assert!(scan.is_none());
+        prop_assert!(certify_translation_safety(&dfs));
+        let qc = quick_check(&img.net, &pairs, &budget(20_000));
+        prop_assert_eq!(qc.unsafe_witness, scan);
+        let unviolated = match space.outcome() {
+            ExploreOutcome::Complete => QuickVerdict::Holds,
+            ExploreOutcome::Truncated { limit } => QuickVerdict::Inconclusive { budget: limit },
+        };
+        prop_assert_eq!(qc.safe, unviolated);
     }
 
     /// Direct-LTS state count equals PN reachable-marking count (a cheap

@@ -2,12 +2,17 @@
 //! sharded result collection, session-backed memoization and admissible
 //! pruning.
 //!
-//! * **Work stealing** — tasks (configurations) are dealt round-robin into
-//!   per-worker deques ([`rap_pool::StealQueues`], extracted from this
-//!   driver so the parallel state-space engine shares it); a worker pops
-//!   its own deque from the front and, when empty, steals from the back of
-//!   the others. No global queue lock on the hot path, and stragglers (the
-//!   big wagged models) end up shared.
+//! * **Scheduling by structure** — the sweep runs in two phases on a
+//!   work-stealing pool ([`rap_pool::StealQueues`]: a worker pops its own
+//!   deque from the front and, when empty, steals from the back of the
+//!   others). Phase 1 builds and compiles every configuration. Phase 2
+//!   deals one task per distinct [`CompiledModel`], which runs that
+//!   model's configurations in enumeration order. Twins — configurations
+//!   that build the same model — therefore never run on two workers at
+//!   once, so no worker blocks on another's in-flight analysis, and
+//!   stealing balances the big wagged structures. Each worker runs
+//!   one structure at a time on one core: the state-space engine inside a
+//!   pool worker runs single-threaded (see `EngineConfig::threads`).
 //! * **Sharded collection** — each worker appends to its own result
 //!   vector; vectors are concatenated after the pool joins, then sorted
 //!   canonically, so the output is deterministic regardless of schedule.
@@ -15,17 +20,19 @@
 //!   [`rap_session::Session`], which interns models by identity
 //!   (structural hash + byte-exact digest). Configurations that differ
 //!   only in supply voltage — or in demanded depth, for hardware that
-//!   cannot reconfigure — build identical models and share one
-//!   [`CompiledModel`], whose query slots are in-flight reservations (a
-//!   `OnceLock` per artifact): concurrent twins block on the first
-//!   evaluation instead of duplicating it, so each distinct structure is
-//!   fully evaluated at most once per sweep regardless of thread count.
-//!   (The exact full/memo/pruned *split* can still shift marginally under
-//!   parallel scheduling, because pruning races the arrival of
-//!   dominators; the fronts and every per-point value are
-//!   schedule-invariant.) Passing an external session to
-//!   [`explore_with_session`] extends the sharing across sweeps: a warm
-//!   session serves every previously-analysed structure from cache.
+//!   cannot reconfigure — build identical models, share one
+//!   [`CompiledModel`] and so land in one phase-2 task: the first of them
+//!   that is not pruned pays for the analyses, and the rest are served
+//!   from the model's caches. Each distinct structure is thus fully
+//!   evaluated at most once per sweep, at every thread count. (The exact
+//!   full/memo/pruned *split* can still shift marginally under parallel
+//!   scheduling, because pruning races the arrival of dominators from
+//!   other structures; the fronts and every per-point value are
+//!   schedule-invariant.) With memoization off, every configuration is
+//!   compiled into a private session and is a task of its own. Passing an
+//!   external session to [`explore_with_session`] extends the sharing
+//!   across sweeps: a warm session serves every previously-analysed
+//!   structure from cache.
 //! * **Pruning** — before paying for a full evaluation (phase unfolding +
 //!   Petri screen), a candidate's admissible optimistic bound
 //!   ([`crate::eval::optimistic_bound`]) is tested against the
@@ -58,7 +65,9 @@ use std::sync::{Arc, Mutex};
 /// Driver knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct DseConfig {
-    /// Worker threads (1 = run inline, still through the same code path).
+    /// Worker threads (1 = run inline, still through the same code path;
+    /// the engine then keeps its own auto thread count, while inside a
+    /// spawned worker it runs on one thread).
     pub threads: usize,
     /// State budget of the per-configuration Petri screen.
     pub check_budget: usize,
@@ -181,12 +190,9 @@ impl DseOutcome {
 type SiblingKey = (String, u64);
 
 struct Shared<'a> {
-    space: &'a DesignSpace,
     cost: &'a CostModel,
     cfg: &'a DseConfig,
     session: &'a Session,
-    tasks: Vec<Config>,
-    queues: StealQueues<usize>,
     /// Exact periods of evaluated reconfigurable points, for the
     /// depth-monotonicity bound: (hardware label, sizing bits) → [(depth,
     /// period)].
@@ -198,7 +204,7 @@ struct Shared<'a> {
     /// live recorder cannot perturb the fronts.
     meter: Meter,
     /// Recorder handle parented under the `dse.sweep` span; per-candidate
-    /// `dse.eval` spans and provenance events hang off it.
+    /// `dse.build` / `dse.eval` spans and provenance events hang off it.
     obs: Obs,
 }
 
@@ -257,114 +263,136 @@ impl Shared<'_> {
             .push(objectives);
     }
 
-    fn run_worker(&self, me: usize, out: &mut Vec<Evaluation>) {
-        while let Some(idx) = self.queues.next(me) {
-            let config = self.tasks[idx];
-            // panic isolation: a panicking evaluation poisons only its own
-            // result (the point is recorded in `panics` and missing from
-            // the sweep), the worker and the rest of the batch continue.
-            // The shared-state sections (siblings/dominators mutexes,
-            // session slots) only hold locks around plain inserts, so a
-            // panic inside an evaluation cannot poison them mid-update.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.eval_task(config)))
-            {
-                Ok(Some(eval)) => out.push(eval),
-                Ok(None) => {}
+    /// Runs `work` over `tasks` on `threads` work-stealing workers and
+    /// concatenates what the workers collect (in no particular order).
+    fn on_pool<T: Send, R: Send>(
+        &self,
+        threads: usize,
+        tasks: Vec<T>,
+        work: impl Fn(T, &mut Vec<R>) + Sync,
+    ) -> Vec<R> {
+        let threads = threads.min(tasks.len()).max(1);
+        let queues = StealQueues::new(threads);
+        queues.deal(tasks);
+        let mut out = Vec::new();
+        for result in rap_pool::run_workers(threads, |me| {
+            let mut mine = Vec::new();
+            while let Some(task) = queues.next(me) {
+                work(task, &mut mine);
+            }
+            mine
+        }) {
+            match result {
+                Ok(mine) => out.extend(mine),
+                // per-task catch_unwind means a worker-level death can only
+                // come from outside a task (e.g. drop glue); its completed
+                // results are lost but the sweep still reports
                 Err(_) => {
                     self.meter.add("dse.eval.panic", 1);
                 }
             }
         }
+        out
     }
 
-    fn eval_task(&self, config: Config) -> Option<Evaluation> {
+    /// Panic isolation: a panicking task poisons only its own result (the
+    /// point is recorded in `panics` and missing from the sweep), the
+    /// worker and the rest of the batch continue. The shared-state
+    /// sections (siblings/dominators mutexes, session slots) only hold
+    /// locks around plain inserts, so a panic inside a task cannot poison
+    /// them mid-update.
+    fn isolated<R>(&self, task: impl FnOnce() -> Option<R>) -> Option<R> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).unwrap_or_else(|_| {
+            self.meter.add("dse.eval.panic", 1);
+            None
+        })
+    }
+
+    /// Builds `config` and compiles it. With memoization, twins intern to
+    /// one `CompiledModel` in the shared session; without, a private
+    /// throw-away session keeps the code path identical but shares nothing.
+    fn compile_task(&self, config: &Config) -> Option<Arc<CompiledModel>> {
+        let _build_span = self.obs.span("dse.build");
+        let Ok(dfs) = config.build() else {
+            self.meter.add("dse.eval.error", 1);
+            self.obs.note("dse.error", &config.label(), 0);
+            return None;
+        };
+        Some(if self.cfg.memoize {
+            self.session.compile(&dfs)
+        } else {
+            Session::new().compile(&dfs)
+        })
+    }
+
+    fn eval_task(&self, config: Config, model: &CompiledModel) -> Option<Evaluation> {
         let _eval_span = self.obs.span("dse.eval");
-        {
-            let dfs = match config.build() {
-                Ok(dfs) => dfs,
-                Err(_) => {
-                    self.meter.add("dse.eval.error", 1);
-                    self.obs.note("dse.error", &config.label(), 0);
-                    return None;
-                }
-            };
-            // with memoization, twins intern to one CompiledModel in the
-            // shared session; without, a private throw-away session keeps
-            // the code path identical but shares nothing
-            let model: Arc<CompiledModel> = if self.cfg.memoize {
-                self.session.compile(&dfs)
-            } else {
-                Session::new().compile(&dfs)
-            };
-            if !model.analysed() {
-                // not analysed yet (though a twin may be in flight): this
-                // task may still be pruned on its own merits
-                if self.cfg.prune {
-                    let lb = self.period_lower_bound(&config, &dfs);
-                    let bound = optimistic_bound(&config, &dfs, self.cost, lb);
-                    if self.is_dominated(config.workload, &bound) {
-                        self.meter.add("dse.eval.pruned", 1);
-                        self.obs
-                            .note("dse.pruned", &config.label(), model.structural_hash());
-                        return None;
-                    }
-                }
+        // not analysed yet: this configuration may still be pruned on its
+        // own merits
+        if self.cfg.prune && !model.analysed() {
+            let lb = self.period_lower_bound(&config, model.dfs());
+            let bound = optimistic_bound(&config, model.dfs(), self.cost, lb);
+            if self.is_dominated(config.workload, &bound) {
+                self.meter.add("dse.eval.pruned", 1);
+                self.obs
+                    .note("dse.pruned", &config.label(), model.structural_hash());
+                return None;
             }
-            // whoever wins the session's in-flight reservation for the
-            // throughput analysis is the task that paid for the structure:
-            // exact work accounting even under concurrent twins
-            let (detail, ran_here) = model.perf_detail_traced();
-            if detail.is_err() {
+        }
+        // whoever runs the session's throughput analysis (rather than
+        // finding it cached, in memory or on disk) is the configuration
+        // that paid for the structure: exact work accounting
+        let (detail, ran_here) = model.perf_detail_traced();
+        if detail.is_err() {
+            self.meter.add("dse.eval.error", 1);
+            self.obs
+                .note("dse.error", &config.label(), model.structural_hash());
+            return None;
+        }
+        let eval = match evaluate_structural(model, self.cost, self.cfg.check_budget) {
+            Ok(eval) => eval,
+            Err(_) => {
                 self.meter.add("dse.eval.error", 1);
                 self.obs
                     .note("dse.error", &config.label(), model.structural_hash());
                 return None;
             }
-            let eval = match evaluate_structural(&model, self.cost, self.cfg.check_budget) {
-                Ok(eval) => eval,
-                Err(_) => {
-                    self.meter.add("dse.eval.error", 1);
-                    self.obs
-                        .note("dse.error", &config.label(), model.structural_hash());
-                    return None;
-                }
-            };
-            if ran_here {
-                self.meter.add("dse.eval.full", 1);
-                self.obs
-                    .note("dse.full", &config.label(), model.structural_hash());
-                if eval.check_violated {
-                    self.meter.add("dse.check.violation", 1);
-                } else if eval.check_truncated {
-                    self.meter.add("dse.check.inconclusive", 1);
-                }
-            } else {
-                self.meter.add("dse.eval.memo", 1);
-                self.obs
-                    .note("dse.memo", &config.label(), model.structural_hash());
+        };
+        if ran_here {
+            self.meter.add("dse.eval.full", 1);
+            self.obs
+                .note("dse.full", &config.label(), model.structural_hash());
+            if eval.check_violated {
+                self.meter.add("dse.check.violation", 1);
+            } else if eval.check_truncated {
+                self.meter.add("dse.check.inconclusive", 1);
             }
-            // record the sibling period on cache hits too: against a warm
-            // session nothing is freshly analysed, and without this the
-            // depth-monotonicity refinement of the pruning bound would be
-            // lost on re-sweeps (duplicates are harmless — the bound maxes
-            // over the list)
-            self.record_sibling(&config, eval.period_units);
-            let memoized = !ran_here;
-            let objectives = eval.objectives(self.cost, config.voltage);
-            if !eval.check_violated {
-                self.record_dominator(config.workload, objectives);
-            }
-            Some(Evaluation {
-                config,
-                label: config.label(),
-                objectives,
-                period_units: eval.period_units,
-                phases: eval.phases,
-                check_truncated: eval.check_truncated,
-                check_violated: eval.check_violated,
-                memoized,
-            })
+        } else {
+            self.meter.add("dse.eval.memo", 1);
+            self.obs
+                .note("dse.memo", &config.label(), model.structural_hash());
         }
+        // record the sibling period on cache hits too: against a warm
+        // session nothing is freshly analysed, and without this the
+        // depth-monotonicity refinement of the pruning bound would be
+        // lost on re-sweeps (duplicates are harmless — the bound maxes
+        // over the list)
+        self.record_sibling(&config, eval.period_units);
+        let memoized = !ran_here;
+        let objectives = eval.objectives(self.cost, config.voltage);
+        if !eval.check_violated {
+            self.record_dominator(config.workload, objectives);
+        }
+        Some(Evaluation {
+            config,
+            label: config.label(),
+            objectives,
+            period_units: eval.period_units,
+            phases: eval.phases,
+            check_truncated: eval.check_truncated,
+            check_violated: eval.check_violated,
+            memoized,
+        })
     }
 }
 
@@ -408,46 +436,51 @@ pub fn explore_traced(
     let sweep_span = obs.span("dse.sweep");
     let sweep_obs = sweep_span.obs();
     let tasks = space.enumerate();
-    let enumerated = tasks.len();
-    let threads = cfg.threads.max(1).min(tasks.len().max(1));
-    let queues = StealQueues::new(threads);
-    queues.deal(0..tasks.len());
     let meter = Meter::with_obs(sweep_obs.clone());
-    meter.add("dse.enumerated", enumerated as u64);
+    meter.add("dse.enumerated", tasks.len() as u64);
     let shared = Shared {
-        space,
         cost,
         cfg,
         session,
-        tasks,
-        queues,
         siblings: Mutex::new(HashMap::new()),
         dominators: Mutex::new(HashMap::new()),
         meter,
         obs: sweep_obs,
     };
 
-    let mut evaluations: Vec<Evaluation> = Vec::new();
-    for result in rap_pool::run_workers(threads, |me| {
-        let mut out = Vec::new();
-        shared.run_worker(me, &mut out);
-        out
-    }) {
-        match result {
-            Ok(out) => evaluations.extend(out),
-            // per-task catch_unwind means a worker-level death can only
-            // come from outside an evaluation (e.g. drop glue); its
-            // completed results are lost but the sweep still reports
-            Err(_) => {
-                shared.meter.add("dse.eval.panic", 1);
+    // phase 1: build and compile every configuration
+    let mut compiled = shared.on_pool(
+        cfg.threads,
+        tasks.into_iter().enumerate().collect(),
+        |(idx, config), out| {
+            if let Some(model) = shared.isolated(|| shared.compile_task(&config)) {
+                out.push((idx, config, model));
             }
-        }
+        },
+    );
+    compiled.sort_unstable_by_key(|&(idx, _, _)| idx);
+
+    // phase 2: one task per distinct compiled model, running its
+    // configurations in enumeration order
+    let mut groups: Vec<(Arc<CompiledModel>, Vec<Config>)> = Vec::new();
+    let mut group_of: HashMap<*const CompiledModel, usize> = HashMap::new();
+    for (_, config, model) in compiled {
+        let g = *group_of.entry(Arc::as_ptr(&model)).or_insert_with(|| {
+            groups.push((Arc::clone(&model), Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(config);
     }
+    let mut evaluations = shared.on_pool(cfg.threads, groups, |(model, configs), out| {
+        for config in configs {
+            out.extend(shared.isolated(|| shared.eval_task(config, &model)));
+        }
+    });
 
     evaluations.sort_by(|a, b| (a.config.workload, &a.label).cmp(&(b.config.workload, &b.label)));
 
     let mut fronts = BTreeMap::new();
-    for &workload in shared.space.workloads.iter() {
+    for &workload in space.workloads.iter() {
         let class: Vec<Evaluation> = evaluations
             .iter()
             .filter(|e| e.config.workload == workload && !e.check_violated)

@@ -1,6 +1,7 @@
 //! The driver's front is invariant under its own optimisations: thread
-//! count, memoization and pruning must never change which points are
-//! reported Pareto-optimal. Also pins the admissibility of the wagged
+//! count (threads ∈ {1, 2, 4} plus whatever `RAP_TEST_THREADS` asks for),
+//! memoization and pruning must never change which points are reported
+//! Pareto-optimal. Also pins the admissibility of the wagged
 //! direct-graph period bound the pruner relies on.
 
 use dfs_core::perf::mcr::maximum_cycle_ratio;
@@ -10,6 +11,8 @@ use rap_dse::models::wagged_ope;
 use rap_dse::{explore_with_session, DesignSpace, DseConfig, DseOutcome, Hardware};
 use rap_session::Session;
 use rap_silicon::cost::CostModel;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 fn ope_delays() -> StageDelays {
     StageDelays {
@@ -36,6 +39,34 @@ fn small_space() -> DesignSpace {
         voltages: vec![0.9, 1.2],
         delays: ope_delays(),
     }
+}
+
+/// Thread counts under test: {1, 2, 4} plus the `RAP_TEST_THREADS`
+/// environment override (the CI matrix sets 2).
+fn thread_counts() -> Vec<usize> {
+    let mut ts = vec![1usize, 2, 4];
+    if let Some(t) = std::env::var("RAP_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&t| t >= 1)
+    {
+        if !ts.contains(&t) {
+            ts.push(t);
+        }
+    }
+    ts
+}
+
+/// Distinct structures of `space`: the models its configurations intern
+/// to in one session.
+fn distinct_structures(space: &DesignSpace) -> usize {
+    let session = Session::new();
+    let models: HashSet<_> = space
+        .enumerate()
+        .iter()
+        .map(|c| Arc::as_ptr(&session.compile(&c.build().unwrap())))
+        .collect();
+    models.len()
 }
 
 fn front_signature(outcome: &DseOutcome) -> Vec<(usize, Vec<String>)> {
@@ -66,14 +97,18 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
     assert_eq!(reference.stats.errors, 0);
     assert!(!reference.fronts.is_empty());
 
-    for (threads, memoize, prune) in [(1, true, true), (4, true, false), (4, true, true)] {
+    let structures = distinct_structures(&space);
+    for (threads, prune) in thread_counts()
+        .into_iter()
+        .flat_map(|t| [(t, false), (t, true)])
+    {
         let outcome = explore_with_session(
             &space,
             &cost,
             &DseConfig {
                 threads,
                 check_budget: 4_000,
-                memoize,
+                memoize: true,
                 prune,
             },
             &Session::new(),
@@ -81,20 +116,26 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
         assert_eq!(
             front_signature(&outcome),
             front_signature(&reference),
-            "threads={threads} memoize={memoize} prune={prune}"
+            "threads={threads} prune={prune}"
         );
-        if memoize {
-            assert!(
-                outcome.stats.memo_hits > 0,
-                "voltage replicas must hit the memo"
+        assert!(
+            outcome.stats.memo_hits > 0,
+            "voltage replicas must hit the memo"
+        );
+        assert!(outcome.stats.full_evaluations < outcome.stats.enumerated);
+        if !prune {
+            // scheduled by structure, every structure is evaluated in full
+            // exactly once, at every thread count
+            assert_eq!(
+                outcome.stats.full_evaluations, structures,
+                "threads={threads}"
             );
-            assert!(outcome.stats.full_evaluations < outcome.stats.enumerated);
         }
         // accounting: every enumerated point is full, memoized or pruned
         assert_eq!(
             outcome.stats.full_evaluations + outcome.stats.memo_hits + outcome.stats.pruned,
             outcome.stats.enumerated,
-            "threads={threads} memoize={memoize} prune={prune}"
+            "threads={threads} prune={prune}"
         );
     }
 }

@@ -50,6 +50,7 @@
 //! | `engine.level.dedup` | span | barrier-side dedup bookkeeping (chunk ordering, pending-slot reset) |
 //! | `engine.level.commit` | span | canonical-order state/edge commit pass |
 //! | `engine.levels` / `engine.states` / `engine.edges` | counter | BFS totals |
+//! | `engine.waves` | counter | expand-and-commit rounds (one per level unless the state budget cuts a level) |
 //! | `engine.dedup.known` / `engine.dedup.pending` | counter | edges resolved against committed states / same-level pending slots |
 //! | `engine.shard.contended` | counter | shard-lock acquisitions that found the lock held |
 //! | `engine.frontier.peak` | gauge | widest BFS frontier seen |
@@ -58,7 +59,8 @@
 //! | `session.load` / `session.compute` / `session.commit` | span | store probe / actual analysis / persist-on-commit inside a query |
 //! | `session.<kind>.query` / `.compute` / `.disk_hit` | counter | per-kind lifecycle outcomes (memo hits = query − compute − disk_hit) |
 //! | `dse.sweep` | span | one `explore*` call |
-//! | `dse.eval` | span | one candidate evaluation task |
+//! | `dse.build` | span | building and compiling one candidate |
+//! | `dse.eval` | span | one candidate evaluation |
 //! | `dse.enumerated`, `dse.eval.full` / `.memo` / `.pruned` / `.error` / `.panic` | counter | sweep work accounting |
 //! | `dse.check.violation` / `dse.check.inconclusive` | counter | verification outcomes across full evaluations |
 //! | `dse.full` / `dse.memo` / `dse.pruned` / `dse.error` | event | per-candidate provenance; label = config label, value = structural hash |

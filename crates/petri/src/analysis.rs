@@ -6,7 +6,8 @@
 //! functional properties are expressed in the Reach-style language of the
 //! `rap-reach` crate and evaluated over the same state space.
 
-use crate::engine::{EngineConfig, ExploreOutcome};
+use crate::engine::{EngineConfig, ExploreOutcome, Incidence};
+use crate::invariants::certify_complementary_pairs;
 use crate::reachability::{explore, StateId, StateSpace};
 use crate::symmetry::Symmetry;
 use crate::{Marking, PetriNet, PlaceId, TransitionId};
@@ -22,16 +23,16 @@ pub struct Deadlock {
     pub trace: Vec<TransitionId>,
 }
 
-/// Searches the state space for deadlocks.
+/// Searches the state space of `net` for deadlocks.
 ///
 /// Returns all dead states (often one suffices for debugging, but incorrect
 /// control initialisation in DFS models typically produces families of dead
-/// states; reporting them all mirrors the tool's behaviour).
+/// states; reporting them all mirrors the tool's behaviour). On a truncated
+/// space only the dead states of the explored prefix are found; its
+/// unexpanded frontier states are not reported.
 #[must_use]
-pub fn find_deadlocks(space: &StateSpace) -> Vec<Deadlock> {
-    space
-        .states()
-        .filter(|&s| space.successors(s).is_empty())
+pub fn find_deadlocks(net: &PetriNet, space: &StateSpace) -> Vec<Deadlock> {
+    dead_states(net, space)
         .map(|s| Deadlock {
             state: s,
             marking: space.marking(s),
@@ -107,6 +108,24 @@ pub fn find_persistence_violations(
     out
 }
 
+/// The dead states of `space`, in id order: states with no recorded
+/// successor in which no transition of `net` is enabled. The second half
+/// matters on a truncated space, whose unexpanded frontier states have no
+/// recorded successors but are not dead. For a quotient space the
+/// representative's marking is checked — deadness is orbit-invariant, so
+/// this equals checking any concrete member.
+fn dead_states<'a>(net: &PetriNet, space: &'a StateSpace) -> impl Iterator<Item = StateId> + 'a {
+    let inc = Incidence::from_net(net);
+    let mut words = vec![0u64; space.word_count()];
+    space.states().filter(move |&s| {
+        if !space.successors(s).is_empty() {
+            return false;
+        }
+        space.fill_marking_words(s, &mut words);
+        !(0..inc.transition_count()).any(|t| inc.is_enabled(TransitionId::from_index(t), &words))
+    })
+}
+
 /// Outcome of one property of a budget-bounded [`quick_check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuickVerdict {
@@ -176,6 +195,13 @@ impl QuickCheck {
 /// 1-safety invariant (see [`check_complementary_pairs`]; DFS translations
 /// obtain the pairs from `PetriImage::complementary_pairs`).
 ///
+/// The safety scan is skipped when the structural certificate
+/// ([`certify_complementary_pairs`]) proves every pair a P-invariant with
+/// token sum 1: no reachable marking can then violate a pair, so the scan
+/// could find nothing. The verdict is unchanged by the shortcut — it is
+/// still [`QuickVerdict::Inconclusive`] on a truncated run, because the
+/// verdict reports what the exploration established.
+///
 /// Truncation is handled soundly in both directions: a violation found in
 /// the prefix is a real violation of the net, and a prefix state without
 /// recorded successors is re-checked against the net for enabled
@@ -242,35 +268,23 @@ fn verdicts_over(net: &PetriNet, space: &StateSpace, pairs: &[(PlaceId, PlaceId)
         ExploreOutcome::Truncated { limit } => QuickVerdict::Inconclusive { budget: limit },
     };
 
-    let mut deadlock = None;
-    let mut marking = Marking::empty(net.place_count());
-    let mut enabled = Vec::new();
-    for s in space.states() {
-        if !space.successors(s).is_empty() {
-            continue;
-        }
-        // deadness is re-verified on the net itself (a truncated frontier
-        // state has no recorded successors but is not dead); for a quotient
-        // space the representative's marking is checked — deadness is
-        // orbit-invariant, so this equals checking the concrete member
-        space.fill_marking(s, &mut marking);
-        net.enabled_transitions_into(&marking, &mut enabled);
-        if enabled.is_empty() {
-            deadlock = Some(Deadlock {
-                state: s,
-                marking: space.concrete_marking(s),
-                trace: space.concrete_trace_to(s),
-            });
-            break;
-        }
-    }
+    let deadlock = dead_states(net, space).next().map(|s| Deadlock {
+        state: s,
+        marking: space.concrete_marking(s),
+        trace: space.concrete_trace_to(s),
+    });
     let deadlock_free = if deadlock.is_some() {
         QuickVerdict::Violated
     } else {
         unviolated
     };
 
-    let unsafe_witness = check_complementary_pairs(space, pairs);
+    // when every pair is a P-invariant with token sum 1, no reachable
+    // marking violates one, so the per-state scan cannot find a witness
+    let unsafe_witness = match certify_complementary_pairs(net, pairs) {
+        None => None,
+        Some(_) => check_complementary_pairs(space, pairs),
+    };
     let safe = if unsafe_witness.is_some() {
         QuickVerdict::Violated
     } else {
@@ -332,22 +346,20 @@ mod tests {
 
     #[test]
     fn detects_deadlock_with_trace() {
-        // a -> b -> (dead)
-        let mut net = PetriNet::new();
-        let a = net.add_place("a", true);
-        let b = net.add_place("b", false);
-        let c = net.add_place("c", false);
-        let t1 = net.add_transition("t1");
-        net.consume(t1, a);
-        net.produce(t1, b);
-        let t2 = net.add_transition("t2");
-        net.consume(t2, b);
-        net.produce(t2, c);
+        let (net, _, c) = dead_end_net();
         let space = explore_default(&net);
-        let dls = find_deadlocks(&space);
+        let dls = find_deadlocks(&net, &space);
         assert_eq!(dls.len(), 1);
-        assert_eq!(dls[0].trace, vec![t1, t2]);
+        let t = |i| TransitionId::from_index(i);
+        assert_eq!(dls[0].trace, vec![t(0), t(1)]);
         assert!(dls[0].marking.is_marked(c));
+
+        // truncated to 2 of its 3 states: state b has no recorded
+        // successors, but t2 is enabled there — a frontier, not a deadlock
+        let space = explore(&net, &budget(2), None);
+        assert!(space.is_truncated());
+        assert!(space.successors(StateId::from_index(1)).is_empty());
+        assert!(find_deadlocks(&net, &space).is_empty());
     }
 
     #[test]
@@ -362,7 +374,7 @@ mod tests {
         net.consume(t2, b);
         net.produce(t2, a);
         let space = explore_default(&net);
-        assert!(find_deadlocks(&space).is_empty());
+        assert!(find_deadlocks(&net, &space).is_empty());
     }
 
     #[test]
@@ -424,6 +436,12 @@ mod tests {
         let space = explore_default(&bad);
         let hit = check_complementary_pairs(&space, &[(y0, y1)]);
         assert!(hit.is_some());
+        // the certificate rejects the pair, so quick_check scans and finds
+        // the same witness
+        assert_eq!(certify_complementary_pairs(&bad, &[(y0, y1)]), Some(0));
+        let qc = quick_check(&bad, &[(y0, y1)], &budget(1_000));
+        assert_eq!(qc.safe, QuickVerdict::Violated);
+        assert_eq!(qc.unsafe_witness, hit);
     }
 
     /// a → b → c: a genuine dead end the quick check must find and trace.

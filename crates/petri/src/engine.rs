@@ -31,6 +31,18 @@
 //! (`reachability::explore_naive`, `Lts::explore_naive`) state-for-state at
 //! threads ∈ {1, 2, 8}.
 //!
+//! A level is expanded and committed in **waves**: contiguous ranges of its
+//! parents, each sized to fill the room left under the state budget at the
+//! rate of new states per parent seen so far, expanded by the workers and
+//! then committed in canonical order before the next wave starts. The level
+//! ends at the first wave whose commit hits the budget, so the level the
+//! budget cuts is not expanded past the cut. Waves partition the level's
+//! canonical order, and a pending entry keeps its handle — hence the id its
+//! wave gave it — until the level's `clear_pending`, so a duplicate met in a
+//! later wave resolves to the same id: ids, edges and the truncation point
+//! are those of one pass over the level. When the budget cannot bind, the
+//! first wave is the whole level.
+//!
 //! # Delta-compressed storage
 //!
 //! A BFS successor differs from its parent in the few places its action
@@ -154,8 +166,11 @@ impl ExploreOutcome {
 pub struct EngineConfig {
     /// Maximum number of distinct states to store before truncating.
     pub max_states: usize,
-    /// Worker threads; `0` = one per available core (capped at 8). Results
-    /// are identical at every thread count.
+    /// Worker threads; `0` = auto: one per available core (capped at 8),
+    /// except on a thread spawned by a `rap-pool` worker pool (a DSE sweep
+    /// worker, say), where it is one — the pool already runs one worker
+    /// per core, and engine threads on top would only oversubscribe them.
+    /// Results are identical at every thread count.
     pub threads: usize,
     /// Full-snapshot anchor every this many BFS levels (delta-compress the
     /// states in between); `0` = auto (all-anchor for states ≤ 2 words,
@@ -179,16 +194,17 @@ pub struct EngineConfig {
     pub deadline: Option<std::time::Duration>,
     /// Recorder for the engine's spans and counters; detached by default.
     ///
-    /// Per BFS level the engine opens `engine.level.expand` (worker
-    /// expansion, including concurrent dedup probes), `engine.level.dedup`
-    /// (barrier-side chunk ordering and pending-slot reset) and
-    /// `engine.level.commit` (canonical-order commit) spans; at the end it
-    /// records the [`EngineStats`] counters and the `engine.frontier.peak`
-    /// gauge. All recording happens at level barriers or after the run —
-    /// the per-state hot path never touches the recorder — and recording
-    /// is observation-only: the returned graph is bit-identical to an
-    /// untraced run at every thread count (pinned by the differential
-    /// suites running with a live collector).
+    /// Per wave of a BFS level (see the module docs) the engine opens
+    /// `engine.level.expand` (worker expansion, including concurrent dedup
+    /// probes), `engine.level.dedup` (barrier-side chunk ordering; per
+    /// level also the pending-slot reset) and `engine.level.commit`
+    /// (canonical-order commit) spans; at the end it records the
+    /// [`EngineStats`] counters, the `engine.waves` counter and the
+    /// `engine.frontier.peak` gauge. All recording happens at wave
+    /// barriers or after the run — the per-state hot path never touches
+    /// the recorder — and recording is observation-only: the returned
+    /// graph is bit-identical to an untraced run at every thread count
+    /// (pinned by the differential suites running with a live collector).
     pub obs: Obs,
 }
 
@@ -205,13 +221,14 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The actual worker count (`threads`, or the auto policy for 0).
+    /// The actual worker count (`threads`, or the auto policy for 0 — see
+    /// [`EngineConfig::threads`]).
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-        } else {
-            self.threads
+        match self.threads {
+            0 if rap_pool::is_pool_worker() => 1,
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
+            n => n,
         }
     }
 
@@ -702,6 +719,27 @@ struct ChunkOut {
     edges: Vec<EdgeRec>,
 }
 
+/// Parents to expand in the next wave of a level, given the `todo` parents
+/// left in it, the `room` left under the state budget and a `(new states,
+/// parents)` rate observed so far: enough parents to fill the room at that
+/// rate (at least [`MIN_WAVE`]), or all of them when the rate is unknown or
+/// the room can take them all.
+fn wave_len(todo: usize, room: usize, rate: Option<(usize, usize)>) -> usize {
+    match rate {
+        Some((new, parents)) if new > 0 => {
+            let fill = (room as u128 * parents as u128).div_ceil(new as u128);
+            usize::try_from(fill)
+                .unwrap_or(usize::MAX)
+                .max(MIN_WAVE)
+                .min(todo)
+        }
+        _ => todo,
+    }
+}
+
+/// Smallest wave worth a round of worker dispatch and a commit pass.
+const MIN_WAVE: usize = 64;
+
 /// Level-synchronous parallel BFS over `factory`-built systems, under the
 /// budget, parallelism, storage, deadline and recorder settings of `cfg`.
 ///
@@ -797,9 +835,13 @@ where
     let mut frontier_en = en0;
     let mut level_start = 0usize;
     let mut level_num = 0usize;
+    // (new states, parents) of the previous level: the rate the first wave
+    // of a level is sized from (none before level 1, which is one state)
+    let mut prev_rate: Option<(usize, usize)> = None;
     // observability tallies — plain locals, flushed to the recorder once
     // after the run so the level loop never locks the collector for them
     let mut levels_done = 0u64;
+    let mut waves_done = 0u64;
     let mut peak_frontier = 0usize;
     let mut dedup_known = 0u64;
     let mut dedup_pending = 0u64;
@@ -811,155 +853,179 @@ where
         }
         levels_done += 1;
         peak_frontier = peak_frontier.max(level_len);
-
-        // expansion: workers propose edges for chunks of the frontier
-        let t_level = if level_len < 512 { 1 } else { threads };
-        let chunk = level_len.div_ceil(t_level * 4).max(32).min(level_len);
-        let queues = rap_pool::StealQueues::new(t_level);
-        queues.deal(
-            (0..level_len)
-                .step_by(chunk)
-                .map(|a| (a, (a + chunk).min(level_len))),
-        );
-        let fw: &[u64] = &frontier_words;
-        let fe: &[u64] = &frontier_en;
-        let g_ref = &g;
-        let index_ref = &index;
-        let expand_span = obs.span("engine.level.expand");
-        let mut chunk_outs: Vec<ChunkOut> = rap_pool::run_workers(t_level, |me| {
-            let mut sys = systems[me].lock().expect("engine worker system");
-            let mut raw = vec![0u64; stride];
-            let mut canon = vec![0u64; stride];
-            let mut tmp = vec![0u64; stride];
-            let mut cmp = vec![0u64; stride];
-            let mut en_scratch = vec![0u64; astride];
-            let mut outs = Vec::new();
-            while let Some((a, b)) = queues.next(me) {
-                let mut out = ChunkOut {
-                    start: a,
-                    offs: Vec::with_capacity(b - a),
-                    edges: Vec::new(),
-                };
-                for li in a..b {
-                    let p_state = &fw[li * stride..(li + 1) * stride];
-                    let p_en = &fe[li * astride..(li + 1) * astride];
-                    for wi in 0..astride {
-                        let mut bits = p_en[wi];
-                        while bits != 0 {
-                            let act = wi * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            sys.apply(act, p_state, &mut raw);
-                            let (cand, rotation): (&[u64], u32) = match sym {
-                                Some(sy) => {
-                                    let r = sy.canonicalize(&raw, &mut canon, &mut tmp);
-                                    (&canon, r)
-                                }
-                                None => (&raw, 0),
-                            };
-                            let hash = hash_words(cand);
-                            let probe = index_ref.probe_or_insert(
-                                hash,
-                                cand,
-                                |id| {
-                                    g_ref.fill_state(id as usize, &mut cmp);
-                                    cmp == cand
-                                },
-                                |en_out| {
-                                    // the incremental update is valid for the
-                                    // *raw* successor; rotate the result into
-                                    // the representative's frame
-                                    match sym {
-                                        Some(sy) if rotation > 0 => {
-                                            en_scratch.copy_from_slice(p_en);
-                                            sys.update_enabled(act, &raw, &mut en_scratch);
-                                            sy.apply_enabled(rotation, &en_scratch, en_out);
-                                        }
-                                        _ => {
-                                            en_out.copy_from_slice(p_en);
-                                            sys.update_enabled(act, &raw, en_out);
-                                        }
-                                    }
-                                },
-                            );
-                            out.edges.push(EdgeRec {
-                                action: act as u32,
-                                rotation,
-                                target: match probe {
-                                    Probe::Committed(id) => Target::Known(id),
-                                    Probe::Pending(h) | Probe::Inserted(h) => Target::Pending(h),
-                                },
-                            });
-                        }
-                    }
-                    out.offs.push(out.edges.len() as u32);
-                }
-                outs.push(out);
-            }
-            outs
-        })
-        .into_iter()
-        .flat_map(|r| {
-            // a dead worker is unrecoverable here: the level barrier needs
-            // every chunk, so escalate instead of committing a partial level
-            r.unwrap_or_else(|e| panic!("state-space engine worker died: {e}"))
-        })
-        .collect();
-
-        drop(expand_span);
-
-        // commit: one pass in canonical (parent id, action) order assigns
-        // dense ids exactly as a sequential BFS would
-        {
-            let _dedup = obs.span("engine.level.dedup");
-            chunk_outs.sort_by_key(|c| c.start);
-        }
-        let commit_span = obs.span("engine.level.commit");
         let anchor_next = anchor_every == 1 || (level_num + 1).is_multiple_of(anchor_every);
         let mut next_words: Vec<u64> = Vec::new();
         let mut next_en: Vec<u64> = Vec::new();
-        'commit: for co in &chunk_outs {
-            let mut e0 = 0usize;
-            for (k, &e1) in co.offs.iter().enumerate() {
-                let parent_local = co.start + k;
-                let parent_id = (level_start + parent_local) as u32;
-                for e in &co.edges[e0..e1 as usize] {
-                    let id = match e.target {
-                        Target::Known(id) => {
-                            dedup_known += 1;
-                            id
-                        }
-                        Target::Pending(h) => match index.assigned(h) {
-                            Some(id) => {
-                                dedup_pending += 1;
-                                id
-                            }
-                            None => {
-                                if g.len() >= cfg.max_states {
-                                    g.outcome = ExploreOutcome::Truncated {
-                                        limit: cfg.max_states,
-                                    };
-                                    break 'commit;
-                                }
-                                let id = g.len() as u32;
-                                let (w, en) = index.pending_data(h);
-                                let pw = &frontier_words
-                                    [parent_local * stride..(parent_local + 1) * stride];
-                                g.push_state(w, pw, anchor_next, parent_id, e.action, e.rotation);
-                                next_words.extend_from_slice(w);
-                                next_en.extend_from_slice(en);
-                                index.assign(h, id);
-                                id
-                            }
-                        },
-                    };
-                    g.succ.push((e.action, id));
-                }
-                e0 = e1 as usize;
-                g.succ_off.push(g.succ.len() as u32);
-            }
-        }
 
-        drop(commit_span);
+        // the level is expanded and committed in waves — contiguous parent
+        // ranges in canonical order — so that a level the budget cuts is
+        // not expanded past the cut; when the budget cannot bind, the
+        // first wave is the whole level
+        let mut lo = 0usize;
+        while lo < level_len && !g.is_truncated() {
+            let rate = if lo == 0 {
+                prev_rate
+            } else {
+                Some((next_words.len() / stride, lo))
+            };
+            let hi = lo + wave_len(level_len - lo, cfg.max_states.saturating_sub(g.len()), rate);
+            waves_done += 1;
+
+            // expansion: workers propose edges for chunks of the wave
+            let wave = hi - lo;
+            let t_level = if wave < 512 { 1 } else { threads };
+            let chunk = wave.div_ceil(t_level * 4).max(32).min(wave);
+            let queues = rap_pool::StealQueues::new(t_level);
+            queues.deal((lo..hi).step_by(chunk).map(|a| (a, (a + chunk).min(hi))));
+            let fw: &[u64] = &frontier_words;
+            let fe: &[u64] = &frontier_en;
+            let g_ref = &g;
+            let index_ref = &index;
+            let expand_span = obs.span("engine.level.expand");
+            let mut chunk_outs: Vec<ChunkOut> = rap_pool::run_workers(t_level, |me| {
+                let mut sys = systems[me].lock().expect("engine worker system");
+                let mut raw = vec![0u64; stride];
+                let mut canon = vec![0u64; stride];
+                let mut tmp = vec![0u64; stride];
+                let mut cmp = vec![0u64; stride];
+                let mut en_scratch = vec![0u64; astride];
+                let mut outs = Vec::new();
+                while let Some((a, b)) = queues.next(me) {
+                    let mut out = ChunkOut {
+                        start: a,
+                        offs: Vec::with_capacity(b - a),
+                        edges: Vec::new(),
+                    };
+                    for li in a..b {
+                        let p_state = &fw[li * stride..(li + 1) * stride];
+                        let p_en = &fe[li * astride..(li + 1) * astride];
+                        for wi in 0..astride {
+                            let mut bits = p_en[wi];
+                            while bits != 0 {
+                                let act = wi * 64 + bits.trailing_zeros() as usize;
+                                bits &= bits - 1;
+                                sys.apply(act, p_state, &mut raw);
+                                let (cand, rotation): (&[u64], u32) = match sym {
+                                    Some(sy) => {
+                                        let r = sy.canonicalize(&raw, &mut canon, &mut tmp);
+                                        (&canon, r)
+                                    }
+                                    None => (&raw, 0),
+                                };
+                                let hash = hash_words(cand);
+                                let probe = index_ref.probe_or_insert(
+                                    hash,
+                                    cand,
+                                    |id| {
+                                        g_ref.fill_state(id as usize, &mut cmp);
+                                        cmp == cand
+                                    },
+                                    |en_out| {
+                                        // the incremental update is valid for
+                                        // the *raw* successor; rotate the
+                                        // result into the representative's
+                                        // frame
+                                        match sym {
+                                            Some(sy) if rotation > 0 => {
+                                                en_scratch.copy_from_slice(p_en);
+                                                sys.update_enabled(act, &raw, &mut en_scratch);
+                                                sy.apply_enabled(rotation, &en_scratch, en_out);
+                                            }
+                                            _ => {
+                                                en_out.copy_from_slice(p_en);
+                                                sys.update_enabled(act, &raw, en_out);
+                                            }
+                                        }
+                                    },
+                                );
+                                out.edges.push(EdgeRec {
+                                    action: act as u32,
+                                    rotation,
+                                    target: match probe {
+                                        Probe::Committed(id) => Target::Known(id),
+                                        Probe::Pending(h) | Probe::Inserted(h) => {
+                                            Target::Pending(h)
+                                        }
+                                    },
+                                });
+                            }
+                        }
+                        out.offs.push(out.edges.len() as u32);
+                    }
+                    outs.push(out);
+                }
+                outs
+            })
+            .into_iter()
+            .flat_map(|r| {
+                // a dead worker is unrecoverable here: the level barrier
+                // needs every chunk, so escalate instead of committing a
+                // partial wave
+                r.unwrap_or_else(|e| panic!("state-space engine worker died: {e}"))
+            })
+            .collect();
+
+            drop(expand_span);
+
+            // commit: one pass in canonical (parent id, action) order
+            // assigns dense ids exactly as a sequential BFS would; pending
+            // entries of earlier waves keep their handles (and ids) until
+            // the level's `clear_pending`
+            {
+                let _dedup = obs.span("engine.level.dedup");
+                chunk_outs.sort_by_key(|c| c.start);
+            }
+            let _commit = obs.span("engine.level.commit");
+            'commit: for co in &chunk_outs {
+                let mut e0 = 0usize;
+                for (k, &e1) in co.offs.iter().enumerate() {
+                    let parent_local = co.start + k;
+                    let parent_id = (level_start + parent_local) as u32;
+                    for e in &co.edges[e0..e1 as usize] {
+                        let id = match e.target {
+                            Target::Known(id) => {
+                                dedup_known += 1;
+                                id
+                            }
+                            Target::Pending(h) => match index.assigned(h) {
+                                Some(id) => {
+                                    dedup_pending += 1;
+                                    id
+                                }
+                                None => {
+                                    if g.len() >= cfg.max_states {
+                                        g.outcome = ExploreOutcome::Truncated {
+                                            limit: cfg.max_states,
+                                        };
+                                        break 'commit;
+                                    }
+                                    let id = g.len() as u32;
+                                    let (w, en) = index.pending_data(h);
+                                    let pw = &frontier_words
+                                        [parent_local * stride..(parent_local + 1) * stride];
+                                    g.push_state(
+                                        w,
+                                        pw,
+                                        anchor_next,
+                                        parent_id,
+                                        e.action,
+                                        e.rotation,
+                                    );
+                                    next_words.extend_from_slice(w);
+                                    next_en.extend_from_slice(en);
+                                    index.assign(h, id);
+                                    id
+                                }
+                            },
+                        };
+                        g.succ.push((e.action, id));
+                    }
+                    e0 = e1 as usize;
+                    g.succ_off.push(g.succ.len() as u32);
+                }
+            }
+            lo = hi;
+        }
 
         if g.is_truncated() {
             break;
@@ -977,7 +1043,9 @@ where
             let _dedup = obs.span("engine.level.dedup");
             index.clear_pending();
         }
-        level_start = g.len() - next_words.len() / stride;
+        let new_states = next_words.len() / stride;
+        prev_rate = Some((new_states, level_len));
+        level_start = g.len() - new_states;
         frontier_words = next_words;
         frontier_en = next_en;
         level_num += 1;
@@ -990,6 +1058,7 @@ where
 
     if obs.is_enabled() {
         obs.add("engine.levels", levels_done);
+        obs.add("engine.waves", waves_done);
         obs.add("engine.states", g.len() as u64);
         obs.add("engine.edges", g.succ.len() as u64);
         obs.add("engine.dedup.known", dedup_known);
@@ -1357,6 +1426,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Auto threads inside a spawned pool worker is one thread; on the
+    /// caller and on the inline single worker it stays one per core.
+    #[test]
+    fn auto_threads_is_one_inside_a_pool_worker() {
+        let auto = || EngineConfig::default().resolved_threads();
+        let outside = auto();
+        assert_eq!(rap_pool::run_workers(2, |_| auto()), vec![Ok(1), Ok(1)]);
+        assert_eq!(rap_pool::run_workers(1, |_| auto()), vec![Ok(outside)]);
+        assert_eq!(auto(), outside);
+        // an explicit count is never overridden
+        let two = EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        };
+        assert_eq!(
+            rap_pool::run_workers(2, |_| two.resolved_threads()),
+            vec![Ok(2), Ok(2)]
+        );
     }
 
     #[test]

@@ -209,22 +209,14 @@ impl PetriNet {
 
     /// All transitions enabled in `m`, in index order.
     ///
-    /// Allocates a fresh `Vec` per call; hot loops should reuse a buffer via
-    /// [`PetriNet::enabled_transitions_into`] (or go through the incidence
-    /// index of [`crate::engine`], which skips the scan entirely).
+    /// Allocates a fresh `Vec` per call; hot loops over word-packed
+    /// markings should go through the incidence index of
+    /// [`crate::engine`] instead.
     #[must_use]
     pub fn enabled_transitions(&self, m: &Marking) -> Vec<TransitionId> {
-        let mut out = Vec::new();
-        self.enabled_transitions_into(m, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of [`PetriNet::enabled_transitions`]: clears
-    /// `out` and fills it with the transitions enabled in `m`, in index
-    /// order.
-    pub fn enabled_transitions_into(&self, m: &Marking, out: &mut Vec<TransitionId>) {
-        out.clear();
-        out.extend(self.transitions().filter(|&t| self.is_enabled(t, m)));
+        self.transitions()
+            .filter(|&t| self.is_enabled(t, m))
+            .collect()
     }
 
     /// Fires `t` in marking `m`, returning the successor marking.

@@ -1,7 +1,9 @@
 //! Property-based tests for the firing rule and reachability explorer.
 
 use proptest::prelude::*;
-use rap_petri::engine::EngineConfig;
+use rap_petri::analysis::{check_complementary_pairs, quick_check, QuickVerdict};
+use rap_petri::engine::{EngineConfig, ExploreOutcome};
+use rap_petri::invariants::certify_complementary_pairs;
 use rap_petri::reachability::{explore, StateSpace};
 use rap_petri::{Marking, PetriNet, PlaceId};
 
@@ -37,6 +39,58 @@ fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
             }
         }
         net
+    })
+}
+
+/// Strategy: [`arb_net`] extended with `k` complementary place pairs
+/// `x{i}_0`/`x{i}_1`, exactly one of each initially marked, and toggle
+/// transitions that move a pair's token while reading random places of the
+/// base net. A toggle of kind 0 only produces and one of kind 1 only
+/// consumes: either leaves its pair uncertified, and usually violable.
+fn arb_paired_net(
+    np: usize,
+    nt: usize,
+    k: usize,
+) -> impl Strategy<Value = (PetriNet, Vec<(PlaceId, PlaceId)>)> {
+    let ones = proptest::collection::vec(any::<bool>(), k);
+    let toggles = proptest::collection::vec(
+        (
+            0..k,
+            any::<bool>(),
+            proptest::collection::vec(0..np, 0..2),
+            0u8..8,
+        ),
+        1..2 * k + 1,
+    );
+    (arb_net(np, nt), ones, toggles).prop_map(move |(mut net, ones, toggles)| {
+        let pairs: Vec<(PlaceId, PlaceId)> = ones
+            .iter()
+            .enumerate()
+            .map(|(i, &one)| {
+                (
+                    net.add_place(format!("x{i}_0"), !one),
+                    net.add_place(format!("x{i}_1"), one),
+                )
+            })
+            .collect();
+        for (j, (i, up, reads, kind)) in toggles.into_iter().enumerate() {
+            let (from, to) = if up {
+                pairs[i]
+            } else {
+                (pairs[i].1, pairs[i].0)
+            };
+            let t = net.add_transition(format!("x{i}_toggle{j}"));
+            if kind != 0 {
+                net.consume(t, from);
+            }
+            if kind != 1 {
+                net.produce(t, to);
+            }
+            for r in reads {
+                net.read(t, PlaceId::from_index(r));
+            }
+        }
+        (net, pairs)
     })
 }
 
@@ -119,6 +173,39 @@ proptest! {
         }
     }
 
+    /// The structural pair certificate is a sound shortcut for the safety
+    /// scan: a certified pair set has no violation anywhere in the
+    /// exhaustively explored space, and `quick_check` — which skips the
+    /// scan on a certificate — reports what the scan reports, exhaustive
+    /// or truncated.
+    #[test]
+    fn pair_certificate_is_a_sound_shortcut((net, pairs) in arb_paired_net(6, 5, 3)) {
+        // 12 places: at most 4096 markings, so this budget is exhaustive
+        let full = explore_budget(&net, 5_000);
+        prop_assert!(!full.is_truncated());
+        if certify_complementary_pairs(&net, &pairs).is_none() {
+            prop_assert!(check_complementary_pairs(&full, &pairs).is_none());
+        }
+        for max_states in [5_000, 7] {
+            let cfg = EngineConfig {
+                max_states,
+                ..EngineConfig::default()
+            };
+            let qc = quick_check(&net, &pairs, &cfg);
+            let space = explore(&net, &cfg, None);
+            let witness = check_complementary_pairs(&space, &pairs);
+            let safe = match (witness, space.outcome()) {
+                (Some(_), _) => QuickVerdict::Violated,
+                (None, ExploreOutcome::Complete) => QuickVerdict::Holds,
+                (None, ExploreOutcome::Truncated { limit }) => {
+                    QuickVerdict::Inconclusive { budget: limit }
+                }
+            };
+            prop_assert_eq!(qc.unsafe_witness, witness);
+            prop_assert_eq!(qc.safe, safe);
+        }
+    }
+
     /// Exploration is deterministic: two runs discover identical spaces.
     #[test]
     fn exploration_is_deterministic(net in arb_net(9, 9)) {
@@ -166,7 +253,7 @@ proptest! {
     #[test]
     fn counterexample_traces_replay_to_offending_state(net in arb_net(9, 8)) {
         let space = explore_budget(&net, 4_000);
-        for dead in rap_petri::analysis::find_deadlocks(&space) {
+        for dead in rap_petri::analysis::find_deadlocks(&net, &space) {
             let mut m = net.initial_marking();
             for t in &dead.trace {
                 prop_assert!(net.is_enabled(*t, &m), "trace step must be enabled");

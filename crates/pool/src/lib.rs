@@ -14,18 +14,40 @@
 //!   sees a deterministic result layout regardless of the schedule. One
 //!   thread runs inline (no spawn), which keeps single-threaded runs on the
 //!   exact same code path and makes them trivially deterministic.
+//!   Spawned workers are marked ([`is_pool_worker`]) so that code running
+//!   on them can keep to the one core the pool gave it instead of starting
+//!   threads of its own; the inline worker is not marked, since it runs on
+//!   the caller's thread and the pool holds no other core.
 //!
 //! The pool deliberately stays dependency-free and dumb: no task priorities,
 //! no blocking park/unpark (workers exit when every deque is empty), no
 //! dynamic task injection after [`StealQueues::deal`]. Both current users
 //! dispatch a frozen batch of tasks per round — the DSE driver once per
-//! sweep, the state-space engine once per BFS level — and that shape keeps
-//! the correctness argument (and the schedule-stress tests) small.
+//! sweep phase, the state-space engine once per wave of a BFS level — and
+//! that shape keeps the correctness argument (and the schedule-stress
+//! tests) small.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on the threads [`run_workers`] spawns, for their whole life.
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Is the current thread one that [`run_workers`] spawned?
+///
+/// Nested parallel code (the state-space engine called from a sweep
+/// worker) reads this to stay on one thread: the pool already runs one
+/// worker per core, so more threads would only oversubscribe the cores.
+/// The inline single-worker run of [`run_workers`] is not a pool worker.
+#[must_use]
+pub fn is_pool_worker() -> bool {
+    POOL_WORKER.with(Cell::get)
+}
 
 /// A worker failure surfaced by [`run_workers`].
 ///
@@ -140,7 +162,8 @@ impl<T> StealQueues<T> {
 
 /// Runs `worker(0..threads)` on scoped threads and returns the results in
 /// worker order. With `threads <= 1` the single worker runs inline on the
-/// calling thread — same code path, no spawn.
+/// calling thread — same code path, no spawn. Spawned workers report
+/// [`is_pool_worker`]; the inline worker does not.
 ///
 /// **Panic isolation:** a panicking worker poisons only its own slot —
 /// its entry is [`PoolError::WorkerPanicked`] (carrying the payload
@@ -169,7 +192,10 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|me| {
                 let capture = &capture;
-                scope.spawn(move || capture(me))
+                scope.spawn(move || {
+                    POOL_WORKER.with(|w| w.set(true));
+                    capture(me)
+                })
             })
             .collect();
         for (me, h) in handles.into_iter().enumerate() {

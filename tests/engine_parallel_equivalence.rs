@@ -8,8 +8,8 @@
 //! `Lts::explore_naive`) on random inputs from both ends of the tool (raw
 //! random Petri nets and the paper's pipeline generators), at
 //! threads ∈ {1, 2, 8} plus whatever `RAP_TEST_THREADS` asks for, including
-//! under tiny truncation budgets and with forced delta-compression
-//! (`anchor_interval` = 3). `engine_equivalence.rs` covers the default
+//! under tiny truncation budgets, budgets that cut a level in its first or
+//! a later wave, and with forced delta-compression (`anchor_interval` = 3). `engine_equivalence.rs` covers the default
 //! configuration; this suite sweeps the engine's own knobs.
 //!
 //! Every engine run here executes **with a live [`rap::obs::Collector`]
@@ -205,10 +205,53 @@ proptest! {
     }
 }
 
+/// `(engine.levels, engine.waves)` of one Petri and one LTS exploration of
+/// `dfs` under `max_states`.
+fn levels_and_waves(dfs: &Dfs, max_states: usize) -> [(u64, u64); 2] {
+    let collectors = [Arc::new(Collector::new()), Arc::new(Collector::new())];
+    let cfg = |c| EngineConfig {
+        max_states,
+        obs: Obs::collecting(c),
+        ..EngineConfig::default()
+    };
+    let _ = explore(&to_petri(dfs).net, &cfg(&collectors[0]), None);
+    let _ = Lts::explore(dfs, &cfg(&collectors[1]), None);
+    collectors.map(|c| {
+        let c = c.snapshot().counters;
+        (c.get("engine.levels"), c.get("engine.waves"))
+    })
+}
+
 /// The deterministic wagged shapes (guard/choice structure beyond what the
 /// random pipelines reach), including truncation budgets.
+///
+/// The budget-cut level is expanded and committed in waves; two more
+/// budgets per shape cut a level mid-way, one in the level's first wave and
+/// one in a later wave, on both frontends.
 #[test]
 fn wagged_shapes_parallel_equals_naive() {
+    let reconfigurable = build_pipeline(&PipelineSpec::reconfigurable_depth(3, 2).unwrap())
+        .unwrap()
+        .dfs;
+    let wagged = wagged_pipeline(2, 1, 1.0).unwrap().dfs;
+    for (dfs, first_wave_cut, later_wave_cut) in
+        [(&reconfigurable, 1_000, 1_250), (&wagged, 1_000, 882)]
+    {
+        for (cap, later) in [(first_wave_cut, false), (later_wave_cut, true)] {
+            // a change of the wave sizing can move a cut to another wave:
+            // pick new budgets then, so that both cases stay covered
+            for (levels, waves) in levels_and_waves(dfs, cap) {
+                assert_eq!(
+                    waves > levels,
+                    later,
+                    "cap {cap}: {levels} levels, {waves} waves"
+                );
+            }
+            assert_parallel_equivalent(&to_petri(dfs).net, cap).unwrap();
+            assert_lts_parallel_equivalent(dfs, cap).unwrap();
+        }
+    }
+
     for ways in [1usize, 2] {
         let w = wagged_pipeline(ways, 1, 1.0).unwrap();
         let img = to_petri(&w.dfs);
