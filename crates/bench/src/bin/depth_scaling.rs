@@ -8,7 +8,7 @@ use rap_bench::{banner, num, row, ITEMS};
 use rap_ope::{ChipTimingModel, PipelineKind, SyncStyle};
 
 fn main() {
-    let cli = BenchCli::parse("depth_scaling", None);
+    let cli = BenchCli::parse("depth_scaling", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

@@ -26,7 +26,7 @@
 //! the `BENCH_dse.json` numbers are unchanged by it.
 
 use rap_bench::cli::BenchCli;
-use rap_bench::dse::{design_point, render_json_with_trace, run_sweep_traced, validate};
+use rap_bench::dse::{design_point, render_json, run_sweep, validate};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
 use rap_dse::{explore_with_session, DseConfig};
@@ -34,7 +34,7 @@ use rap_session::Session;
 use rap_silicon::cost::CostModel;
 
 fn main() {
-    let cli = BenchCli::parse_with_cache("dse_pareto", Some("BENCH_dse.json"));
+    let cli = BenchCli::parse("dse_pareto", Some("BENCH_dse.json"), true);
     let quick = cli.quick;
     let out = cli.out_path();
     let sink = TraceSink::from_cli(&cli);
@@ -45,7 +45,7 @@ fn main() {
         "Design-space exploration: which pipeline should I build?"
     });
 
-    let run = run_sweep_traced(quick, cli.cache.as_deref(), &sink.obs());
+    let run = run_sweep(quick, cli.cache.as_deref(), &sink.obs());
     let stats = run.outcome.stats;
     println!(
         "{} configurations in {} ms on {} threads: {} full evaluations, \
@@ -157,7 +157,7 @@ fn main() {
     // spans, written to --trace-out, and self-validated against the
     // rap/trace/v1 schema; its summary is embedded into the BENCH json
     let trace = sink.finish();
-    let json = render_json_with_trace(&run, trace.as_ref());
+    let json = render_json(&run, trace.as_ref());
     let summary = validate(&json).unwrap_or_else(|e| {
         eprintln!("emitted JSON failed its own schema validation: {e}");
         std::process::exit(1);

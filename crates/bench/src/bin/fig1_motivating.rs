@@ -16,7 +16,7 @@ const COMP_DEPTH: usize = 3;
 const COMP_DELAY: f64 = 5.0;
 
 fn main() {
-    let cli = BenchCli::parse("fig1_motivating", None);
+    let cli = BenchCli::parse("fig1_motivating", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

@@ -14,7 +14,7 @@ use rap_petri::engine::EngineConfig;
 use rap_petri::reachability::explore;
 
 fn main() {
-    let cli = BenchCli::parse("fig4_petri_translation", None);
+    let cli = BenchCli::parse("fig4_petri_translation", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

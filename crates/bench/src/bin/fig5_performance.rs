@@ -27,7 +27,7 @@ fn construction_tag(c: Construction) -> String {
 }
 
 fn main() {
-    let cli = BenchCli::parse("fig5_performance", None);
+    let cli = BenchCli::parse("fig5_performance", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

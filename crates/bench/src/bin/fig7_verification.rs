@@ -14,7 +14,7 @@ use rap_bench::banner;
 use rap_bench::cli::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse("fig7_verification", None);
+    let cli = BenchCli::parse("fig7_verification", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

@@ -13,7 +13,7 @@ use rap_ope::chip::{behavioural_checksum, Chip, ChipConfig};
 const SEED: u32 = 0x5EED_0001;
 
 fn main() {
-    let cli = BenchCli::parse("fig8_chip", None);
+    let cli = BenchCli::parse("fig8_chip", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

@@ -12,7 +12,7 @@ use rap_bench::{banner, num, row, ITEMS, REF_ENERGY_J, REF_TIME_S, V_NOMINAL};
 use rap_ope::{ChipTimingModel, PipelineKind, SyncStyle};
 
 fn main() {
-    let cli = BenchCli::parse("fig9a_voltage_sweep", None);
+    let cli = BenchCli::parse("fig9a_voltage_sweep", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

@@ -12,7 +12,7 @@ use rap_ope::{ChipTimingModel, PipelineKind, SyncStyle};
 use rap_silicon::VoltageProfile;
 
 fn main() {
-    let cli = BenchCli::parse("fig9b_power_trace", None);
+    let cli = BenchCli::parse("fig9b_power_trace", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

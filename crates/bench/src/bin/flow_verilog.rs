@@ -11,7 +11,7 @@ use rap_silicon::map::{map_dfs, BlockFunction, MapConfig};
 use rap_silicon::verilog::to_verilog;
 
 fn main() {
-    let cli = BenchCli::parse("flow_verilog", None);
+    let cli = BenchCli::parse("flow_verilog", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run(&cli));
 }
 

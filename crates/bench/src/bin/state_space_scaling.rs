@@ -19,12 +19,12 @@
 //! so every measured number is unchanged.
 
 use rap_bench::cli::BenchCli;
-use rap_bench::state_space::{render_json_with_trace, run_sweep_traced, validate, THREADS};
+use rap_bench::state_space::{render_json, run_sweep, validate, THREADS};
 use rap_bench::trace::TraceSink;
 use rap_bench::{banner, num, row};
 
 fn main() {
-    let cli = BenchCli::parse("state_space_scaling", Some("BENCH_state_space.json"));
+    let cli = BenchCli::parse("state_space_scaling", Some("BENCH_state_space.json"), false);
     let quick = cli.quick;
     let out = cli.out_path();
     let sink = TraceSink::from_cli(&cli);
@@ -34,7 +34,7 @@ fn main() {
     } else {
         "State-space scaling: naive explorer vs engine"
     });
-    let cases = run_sweep_traced(quick, &sink.obs());
+    let cases = run_sweep(quick, &sink.obs());
 
     let widths = [27usize, 6, 9, 11, 11, 8, 20, 10];
     let thread_header = THREADS
@@ -88,7 +88,7 @@ fn main() {
     }
 
     let trace = sink.finish();
-    let json = render_json_with_trace(&cases, quick, trace.as_ref());
+    let json = render_json(&cases, quick, trace.as_ref());
     let summary = validate(&json).unwrap_or_else(|e| {
         eprintln!("emitted JSON failed its own schema validation: {e}");
         std::process::exit(1);

@@ -15,7 +15,7 @@ use rap_ope::reference::{rank_list, windows_ranked};
 
 fn main() {
     // already instant; --quick is accepted for CLI uniformity
-    let cli = BenchCli::parse("table_ranklists", None);
+    let cli = BenchCli::parse("table_ranklists", None, false);
     rap_bench::trace::with_trace(&cli, |_obs| run());
 }
 

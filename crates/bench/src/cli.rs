@@ -77,28 +77,16 @@ impl BenchCli {
 
     /// Parses `args` (without the program name). `default_out` declares
     /// the binary's output file at the repository root; `None` means the
-    /// binary writes no file and `--out` is rejected.
+    /// binary writes no file and `--out` is rejected. `accepts_cache`
+    /// opts the binary into `--cache DIR` (a persistent artifact-store
+    /// directory); otherwise `--cache` is rejected.
     ///
     /// # Errors
     ///
-    /// A usage message on an unknown argument, a missing `--out` operand,
-    /// or `--out` passed to a binary without an output file.
+    /// A usage message on an unknown argument, a missing `--out`,
+    /// `--cache` or `--trace-out` operand, or `--out` passed to a binary
+    /// without an output file.
     pub fn parse_from(
-        bin: &str,
-        default_out: Option<&'static str>,
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<BenchCli, String> {
-        Self::parse_from_with(bin, default_out, false, args)
-    }
-
-    /// [`parse_from`](Self::parse_from) for binaries that additionally
-    /// accept `--cache DIR` (a persistent artifact-store directory).
-    ///
-    /// # Errors
-    ///
-    /// See [`parse_from`](Self::parse_from); additionally a missing
-    /// `--cache` operand.
-    pub fn parse_from_with(
         bin: &str,
         default_out: Option<&'static str>,
         accepts_cache: bool,
@@ -154,22 +142,12 @@ impl BenchCli {
         Ok(cli)
     }
 
-    /// Parses the process arguments; on error prints the usage line and
-    /// exits with status 2 (the conventional bad-usage status every
-    /// binary previously hand-rolled).
+    /// Parses the process arguments (see [`parse_from`](Self::parse_from));
+    /// on error prints the usage line and exits with status 2 (the
+    /// conventional bad-usage status every binary previously hand-rolled).
     #[must_use]
-    pub fn parse(bin: &str, default_out: Option<&'static str>) -> BenchCli {
-        Self::parse_from(bin, default_out, std::env::args().skip(1)).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        })
-    }
-
-    /// [`parse`](Self::parse) for binaries that additionally accept
-    /// `--cache DIR`.
-    #[must_use]
-    pub fn parse_with_cache(bin: &str, default_out: Option<&'static str>) -> BenchCli {
-        Self::parse_from_with(bin, default_out, true, std::env::args().skip(1)).unwrap_or_else(
+    pub fn parse(bin: &str, default_out: Option<&'static str>, accepts_cache: bool) -> BenchCli {
+        Self::parse_from(bin, default_out, accepts_cache, std::env::args().skip(1)).unwrap_or_else(
             |msg| {
                 eprintln!("{msg}");
                 std::process::exit(2);
@@ -188,19 +166,25 @@ mod tests {
 
     #[test]
     fn defaults_and_flags() {
-        let cli = BenchCli::parse_from("b", Some("BENCH_x.json"), args(&[])).unwrap();
+        let cli = BenchCli::parse_from("b", Some("BENCH_x.json"), false, args(&[])).unwrap();
         assert!(!cli.quick);
         assert!(cli.out_path().ends_with("../../BENCH_x.json"));
-        let cli = BenchCli::parse_from("b", Some("BENCH_x.json"), args(&["--quick"])).unwrap();
+        let cli =
+            BenchCli::parse_from("b", Some("BENCH_x.json"), false, args(&["--quick"])).unwrap();
         assert!(cli.quick);
-        let cli = BenchCli::parse_from("b", Some("BENCH_x.json"), args(&["--out", "/tmp/y.json"]))
-            .unwrap();
+        let cli = BenchCli::parse_from(
+            "b",
+            Some("BENCH_x.json"),
+            false,
+            args(&["--out", "/tmp/y.json"]),
+        )
+        .unwrap();
         assert_eq!(cli.out_path(), PathBuf::from("/tmp/y.json"));
     }
 
     #[test]
     fn cache_flag_is_opt_in() {
-        let cli = BenchCli::parse_from_with(
+        let cli = BenchCli::parse_from(
             "dse_pareto",
             Some("BENCH_dse.json"),
             true,
@@ -209,12 +193,17 @@ mod tests {
         .unwrap();
         assert_eq!(cli.cache, Some(PathBuf::from("/tmp/c")));
         // binaries that did not opt in reject it and don't advertise it
-        let err = BenchCli::parse_from("b", Some("BENCH_x.json"), args(&["--cache", "/tmp/c"]))
-            .unwrap_err();
+        let err = BenchCli::parse_from(
+            "b",
+            Some("BENCH_x.json"),
+            false,
+            args(&["--cache", "/tmp/c"]),
+        )
+        .unwrap_err();
         assert!(err.contains("unknown argument `--cache`"));
         assert!(!err.contains("[--cache DIR]"));
         // missing operand
-        let err = BenchCli::parse_from_with(
+        let err = BenchCli::parse_from(
             "dse_pareto",
             Some("BENCH_dse.json"),
             true,
@@ -231,6 +220,7 @@ mod tests {
         let cli = BenchCli::parse_from(
             "dse_pareto",
             Some("BENCH_dse.json"),
+            false,
             args(&["--trace-out", "/tmp/t.json"]),
         )
         .unwrap();
@@ -239,21 +229,22 @@ mod tests {
         let cli = BenchCli::parse_from(
             "fig5_performance",
             None,
+            false,
             args(&["--trace-out", "/tmp/t.json"]),
         )
         .unwrap();
         assert_eq!(cli.trace_out, Some(PathBuf::from("/tmp/t.json")));
         // missing operand names the flag and the usage line advertises it
-        let err =
-            BenchCli::parse_from("fig5_performance", None, args(&["--trace-out"])).unwrap_err();
+        let err = BenchCli::parse_from("fig5_performance", None, false, args(&["--trace-out"]))
+            .unwrap_err();
         assert!(err.contains("--trace-out needs a path argument"));
         assert!(err.contains("[--trace-out PATH]"));
     }
 
     #[test]
     fn errors_name_the_binary_and_its_options() {
-        let err =
-            BenchCli::parse_from("fig5_performance", None, args(&["--frobnicate"])).unwrap_err();
+        let err = BenchCli::parse_from("fig5_performance", None, false, args(&["--frobnicate"]))
+            .unwrap_err();
         assert!(err.contains("--frobnicate"));
         assert!(err.contains("usage: fig5_performance [--quick]"));
         assert!(
@@ -261,12 +252,17 @@ mod tests {
             "no-output binaries must not advertise --out"
         );
         // --out is rejected where there is nothing to write
-        let err =
-            BenchCli::parse_from("fig5_performance", None, args(&["--out", "x"])).unwrap_err();
+        let err = BenchCli::parse_from("fig5_performance", None, false, args(&["--out", "x"]))
+            .unwrap_err();
         assert!(err.contains("unknown argument `--out`"));
         // missing operand
-        let err = BenchCli::parse_from("dse_pareto", Some("BENCH_dse.json"), args(&["--out"]))
-            .unwrap_err();
+        let err = BenchCli::parse_from(
+            "dse_pareto",
+            Some("BENCH_dse.json"),
+            false,
+            args(&["--out"]),
+        )
+        .unwrap_err();
         assert!(err.contains("--out needs a path argument"));
         assert!(err.contains("BENCH_dse.json"));
     }

@@ -16,12 +16,13 @@
 //! supply — `fig5_performance`'s exact period-19 row — must appear on the
 //! demand-4 Pareto front.
 
-use crate::json::{escape, Json};
+use crate::json::{Field, Json, Layout, Node};
 use rap_dse::pareto::Objectives;
 use rap_dse::{explore_traced, DesignSpace, DseConfig, DseOutcome, Hardware};
 use rap_obs::{Obs, Snapshot};
 use rap_ope::dfs_model::ope_stage_delays;
 use rap_silicon::cost::CostModel;
+use std::ops::Bound;
 use std::time::Instant;
 
 /// Schema tag embedded in (and required from) the emitted JSON. `v2`
@@ -126,6 +127,15 @@ pub struct SweepRun {
 /// must reproduce the fronts bit-identically with **zero** full
 /// evaluations.
 ///
+/// The three passes open `dse.pass.cold` / `dse.pass.warm` /
+/// `dse.pass.restart` spans under `obs`, each sweep's `dse.sweep`/`dse.eval`
+/// spans and provenance events nest inside its pass, and the sessions and
+/// stores are opened traced so the full query lifecycle (`session.*`) and
+/// disk latencies (`store.*_ns`) land in the same collector. Pass
+/// [`Obs::none`] to record nothing. Recording is observation-only: the
+/// returned fronts are bit-identical either way (`tests/trace_schema.rs`
+/// asserts it across a traced and an untraced run).
+///
 /// # Panics
 ///
 /// Panics if the store directory cannot be opened (locked or unwritable),
@@ -136,21 +146,7 @@ pub struct SweepRun {
 /// tripwire; the front-equivalence property is additionally tested with
 /// pruning disabled in `rap-dse`'s test-suite).
 #[must_use]
-pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>) -> SweepRun {
-    run_sweep_traced(quick, cache, &Obs::none())
-}
-
-/// [`run_sweep`] with a recorder attached: the three passes open
-/// `dse.pass.cold` / `dse.pass.warm` / `dse.pass.restart` spans under
-/// `obs`, each sweep's `dse.sweep`/`dse.eval` spans and provenance events
-/// nest inside its pass, and the sessions/stores are opened traced so the
-/// full query lifecycle (`session.*`) and disk latencies (`store.*_ns`)
-/// land in the same collector. Recording is observation-only: the
-/// returned fronts are bit-identical to an untraced run (this very
-/// function asserts front equality across its own passes either way, and
-/// `tests/trace_schema.rs` asserts it across traced/untraced runs).
-#[must_use]
-pub fn run_sweep_traced(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> SweepRun {
+pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> SweepRun {
     let space = paper_space(quick);
     let cost = CostModel::default();
     let cfg = DseConfig::default();
@@ -299,173 +295,126 @@ pub fn assert_fronts_identical(a: &DseOutcome, b: &DseOutcome) {
     }
 }
 
-fn check_tag(truncated: bool) -> &'static str {
-    if truncated {
-        "inconclusive"
-    } else {
-        "clean"
-    }
-}
-
-/// Renders a sweep as the `BENCH_dse.json` document.
+/// Renders a sweep as the `BENCH_dse.json` document, with a
+/// `trace_summary` member (wall-clock, span coverage, top-5 spans by
+/// self-time) when `trace` holds a traced run's [`Snapshot`]. The member
+/// is additive: every measured number is the same with or without it.
 #[must_use]
-pub fn render_json(run: &SweepRun) -> String {
-    render_json_with_trace(run, None)
-}
-
-/// [`render_json`] with an optional `trace_summary` block (wall-clock,
-/// span coverage, top-5 spans by self-time) from a traced run's
-/// [`Snapshot`]. The block is additive: the document stays schema-valid
-/// with or without it, and every measured number is unchanged.
-#[must_use]
-pub fn render_json_with_trace(run: &SweepRun, trace: Option<&Snapshot>) -> String {
-    let stats = run.outcome.stats;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", escape(SCHEMA)));
-    out.push_str(&format!("  \"quick\": {},\n", run.quick));
-    out.push_str(&format!("  \"threads\": {},\n", run.threads));
-    out.push_str(&format!("  \"elapsed_ms\": {:.3},\n", run.elapsed_ms));
-    if let Some(snap) = trace {
-        out.push_str(&format!(
-            "  \"trace_summary\": {},\n",
-            crate::trace::summary_block(snap, "  ")
-        ));
-    }
-    out.push_str("  \"stats\": {\n");
-    out.push_str(&format!("    \"configurations\": {},\n", stats.enumerated));
-    out.push_str(&format!(
-        "    \"full_evaluations\": {},\n",
-        stats.full_evaluations
+pub fn render_json(run: &SweepRun, trace: Option<&Snapshot>) -> String {
+    use Layout::Block;
+    let ms = |x: f64| Node::Fixed(x, 3);
+    let pass = |elapsed_ms: f64, stats: &rap_dse::SweepStats| {
+        vec![
+            ("elapsed_ms", ms(elapsed_ms)),
+            ("full_evaluations", stats.full_evaluations.into()),
+            ("memo_hits", stats.memo_hits.into()),
+            ("pruned", stats.pruned.into()),
+        ]
+    };
+    let stats = &run.outcome.stats;
+    let store = &run.restart_store;
+    let mut restart = pass(run.restart_elapsed_ms, &run.restart_stats);
+    restart.push((
+        "store",
+        Node::Obj(
+            Block,
+            vec![
+                ("disk_hits", store.disk_hits.into()),
+                ("disk_misses", store.disk_misses.into()),
+                ("bytes_read", store.bytes_read.into()),
+                ("bytes_written", store.bytes_written.into()),
+                ("corrupt_recovered", store.corrupt_recovered.into()),
+                ("write_errors", store.write_errors.into()),
+            ],
+        ),
     ));
-    out.push_str(&format!("    \"memo_hits\": {},\n", stats.memo_hits));
-    out.push_str(&format!("    \"pruned\": {},\n", stats.pruned));
-    out.push_str(&format!(
-        "    \"check_inconclusive\": {}\n",
-        stats.check_inconclusive
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"warm\": {\n");
-    out.push_str(&format!(
-        "    \"elapsed_ms\": {:.3},\n",
-        run.warm_elapsed_ms
-    ));
-    out.push_str(&format!(
-        "    \"full_evaluations\": {},\n",
-        run.warm_stats.full_evaluations
-    ));
-    out.push_str(&format!(
-        "    \"memo_hits\": {},\n",
-        run.warm_stats.memo_hits
-    ));
-    out.push_str(&format!("    \"pruned\": {}\n", run.warm_stats.pruned));
-    out.push_str("  },\n");
-    out.push_str("  \"restart\": {\n");
-    out.push_str(&format!(
-        "    \"elapsed_ms\": {:.3},\n",
-        run.restart_elapsed_ms
-    ));
-    out.push_str(&format!(
-        "    \"full_evaluations\": {},\n",
-        run.restart_stats.full_evaluations
-    ));
-    out.push_str(&format!(
-        "    \"memo_hits\": {},\n",
-        run.restart_stats.memo_hits
-    ));
-    out.push_str(&format!("    \"pruned\": {},\n", run.restart_stats.pruned));
-    out.push_str("    \"store\": {\n");
-    out.push_str(&format!(
-        "      \"disk_hits\": {},\n",
-        run.restart_store.disk_hits
-    ));
-    out.push_str(&format!(
-        "      \"disk_misses\": {},\n",
-        run.restart_store.disk_misses
-    ));
-    out.push_str(&format!(
-        "      \"bytes_read\": {},\n",
-        run.restart_store.bytes_read
-    ));
-    out.push_str(&format!(
-        "      \"bytes_written\": {},\n",
-        run.restart_store.bytes_written
-    ));
-    out.push_str(&format!(
-        "      \"corrupt_recovered\": {},\n",
-        run.restart_store.corrupt_recovered
-    ));
-    out.push_str(&format!(
-        "      \"write_errors\": {}\n",
-        run.restart_store.write_errors
-    ));
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-
     let (dp_label, dp_workload) = design_point(run.quick);
     let dp = run
         .outcome
         .front(dp_workload)
         .iter()
         .find(|e| e.label == dp_label);
-    out.push_str("  \"design_point\": {\n");
-    out.push_str(&format!("    \"label\": {},\n", escape(dp_label)));
-    out.push_str(&format!("    \"workload\": {dp_workload},\n"));
-    out.push_str(&format!("    \"on_front\": {},\n", dp.is_some()));
-    out.push_str(&format!(
-        "    \"period_units\": {}\n",
-        dp.map_or_else(|| "null".to_string(), |e| format!("{:.6}", e.period_units))
-    ));
-    out.push_str("  },\n");
-
-    out.push_str("  \"fronts\": [\n");
-    let fronts: Vec<_> = run.outcome.fronts.iter().collect();
-    for (fi, (workload, front)) in fronts.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": {workload},\n"));
-        out.push_str("      \"points\": [\n");
-        for (pi, e) in front.iter().enumerate() {
-            out.push_str("        {\n");
-            out.push_str(&format!("          \"label\": {},\n", escape(&e.label)));
-            // lossless emission: near-ties (e.g. the shared- vs
-            // separate-loop variants at the same period) must not collapse
-            // into exact ties, or the validator's dominance re-check would
-            // disagree with the full-precision kernel
-            out.push_str(&format!(
-                "          \"throughput\": {:e},\n",
-                e.objectives.throughput
-            ));
-            out.push_str(&format!(
-                "          \"energy_per_item\": {:e},\n",
-                e.objectives.energy_per_item
-            ));
-            out.push_str(&format!("          \"area\": {:e},\n", e.objectives.area));
-            out.push_str(&format!(
-                "          \"period_units\": {:.6},\n",
-                e.period_units
-            ));
-            out.push_str(&format!("          \"phases\": {},\n", e.phases));
-            out.push_str(&format!("          \"memoized\": {},\n", e.memoized));
-            out.push_str(&format!(
-                "          \"check\": {}\n",
-                escape(check_tag(e.check_truncated))
-            ));
-            out.push_str(if pi + 1 == front.len() {
-                "        }\n"
-            } else {
-                "        },\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if fi + 1 == fronts.len() {
-            "    }\n"
-        } else {
-            "    },\n"
+    let fronts = run.outcome.fronts.iter().map(|(workload, front)| {
+        let points = front.iter().map(|e| {
+            Node::Obj(
+                Block,
+                vec![
+                    ("label", e.label.as_str().into()),
+                    // lossless emission: near-ties (e.g. the shared- vs
+                    // separate-loop variants at the same period) must not
+                    // collapse into exact ties, or the validator's dominance
+                    // re-check would disagree with the full-precision kernel
+                    ("throughput", Node::Exp(e.objectives.throughput)),
+                    ("energy_per_item", Node::Exp(e.objectives.energy_per_item)),
+                    ("area", Node::Exp(e.objectives.area)),
+                    ("period_units", Node::Fixed(e.period_units, 6)),
+                    ("phases", u64::from(e.phases).into()),
+                    ("memoized", e.memoized.into()),
+                    (
+                        "check",
+                        if e.check_truncated {
+                            "inconclusive"
+                        } else {
+                            "clean"
+                        }
+                        .into(),
+                    ),
+                ],
+            )
         });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        Node::Obj(
+            Block,
+            vec![
+                ("workload", (*workload).into()),
+                ("points", Node::Arr(Block, points.collect())),
+            ],
+        )
+    });
+
+    let mut doc = vec![
+        ("schema", SCHEMA.into()),
+        ("quick", run.quick.into()),
+        ("threads", run.threads.into()),
+        ("elapsed_ms", ms(run.elapsed_ms)),
+    ];
+    doc.extend(trace.map(|snap| ("trace_summary", crate::trace::summary(snap))));
+    doc.extend([
+        (
+            "stats",
+            Node::Obj(
+                Block,
+                vec![
+                    ("configurations", stats.enumerated.into()),
+                    ("full_evaluations", stats.full_evaluations.into()),
+                    ("memo_hits", stats.memo_hits.into()),
+                    ("pruned", stats.pruned.into()),
+                    ("check_inconclusive", stats.check_inconclusive.into()),
+                ],
+            ),
+        ),
+        (
+            "warm",
+            Node::Obj(Block, pass(run.warm_elapsed_ms, &run.warm_stats)),
+        ),
+        ("restart", Node::Obj(Block, restart)),
+        (
+            "design_point",
+            Node::Obj(
+                Block,
+                vec![
+                    ("label", dp_label.into()),
+                    ("workload", dp_workload.into()),
+                    ("on_front", dp.is_some().into()),
+                    (
+                        "period_units",
+                        dp.map(|e| Node::Fixed(e.period_units, 6)).into(),
+                    ),
+                ],
+            ),
+        ),
+        ("fronts", Node::Arr(Block, fronts.collect())),
+    ]);
+    Node::Obj(Block, doc).write()
 }
 
 /// The acceptance design point per mode: the paper's OPE(6,4) row in the
@@ -496,101 +445,69 @@ pub struct Summary {
     pub design_point_on_front: bool,
 }
 
-/// Validates a `BENCH_dse.json` document against the v1 schema and the
-/// semantic invariants of the sweep, returning its summary.
+/// The range of objectives and periods: strictly positive.
+const POSITIVE: (Bound<f64>, Bound<f64>) = (Bound::Excluded(0.0), Bound::Unbounded);
+
+/// The member `key` of `f` as a `usize` count.
+fn count(f: &Field, key: &str) -> Result<usize, String> {
+    #[allow(clippy::cast_possible_truncation)]
+    Ok(f.get(key)?.count()? as usize)
+}
+
+/// A pass's `(full_evaluations, memo_hits, pruned)`, which must add up to
+/// the enumerated `configurations`.
+fn work(pass: &Field, configurations: usize) -> Result<(usize, usize, usize), String> {
+    let full = count(pass, "full_evaluations")?;
+    let memo = count(pass, "memo_hits")?;
+    let pruned = count(pass, "pruned")?;
+    if full + memo + pruned != configurations {
+        return Err(pass.err(&format!(
+            "work accounting broken: {full} + {memo} + {pruned} != {configurations}"
+        )));
+    }
+    Ok((full, memo, pruned))
+}
+
+/// Validates a `BENCH_dse.json` document against the [`SCHEMA`] (v3)
+/// shape and the semantic invariants of the sweep, returning its summary.
 ///
 /// Beyond shape checks, this re-verifies that every emitted front is
 /// mutually non-dominated and sorted by descending throughput, that the
-/// work accounting adds up (`full + memo + pruned = configurations`), and
-/// — for full (non-quick) documents — that the sweep covered ≥ 500
-/// configurations, that memoization plus pruning measurably reduced full
-/// evaluations, and that the paper's OPE(6,4) design point sits on the
-/// demand-4 front with its pinned period.
+/// work accounting of every pass adds up (`full + memo + pruned =
+/// configurations`), that the warm pass evaluated no more than the cold
+/// one, that the restart pass performed zero full evaluations and read
+/// the store, and — for full (non-quick) documents — that the sweep
+/// covered ≥ 500 configurations, that memoization plus pruning measurably
+/// reduced full evaluations, and that the paper's OPE(6,4) design point
+/// sits on the demand-4 front with its pinned period.
 ///
 /// # Errors
 ///
 /// A description of the first violation found.
 pub fn validate(src: &str) -> Result<Summary, String> {
-    let doc = Json::parse(src)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\"")?;
+    let parsed = Json::parse(src)?;
+    let doc = Field::root(&parsed);
+    let schema = doc.get("schema")?.str()?;
     if schema != SCHEMA {
         return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
     }
-    let quick = doc
-        .get("quick")
-        .and_then(Json::as_bool)
-        .ok_or("missing boolean \"quick\"")?;
-    doc.get("elapsed_ms")
-        .and_then(Json::as_f64)
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .ok_or("missing non-negative \"elapsed_ms\"")?;
+    let quick = doc.get("quick")?.bool()?;
+    doc.get("elapsed_ms")?.num_in(0.0..)?;
     // optional (only present when the run was traced), but well-formed
     // when it is there
-    if let Some(ts) = doc.get("trace_summary") {
-        ts.get("wall_ns")
-            .and_then(Json::as_f64)
-            .filter(|x| *x >= 1.0)
-            .ok_or("trace_summary: missing positive \"wall_ns\"")?;
-        ts.get("coverage")
-            .and_then(Json::as_f64)
-            .filter(|x| (0.0..=1.0).contains(x))
-            .ok_or("trace_summary: missing \"coverage\" in [0, 1]")?;
-        let top = ts
-            .get("top_self")
-            .and_then(Json::as_arr)
-            .ok_or("trace_summary: missing \"top_self\" array")?;
-        if top.len() > 5 {
-            return Err(format!(
-                "trace_summary: top_self has {} entries (max 5)",
-                top.len()
-            ));
-        }
+    if let Some(ts) = doc.opt("trace_summary") {
+        crate::trace::check_summary(&ts)?;
     }
 
-    let stats = doc.get("stats").ok_or("missing \"stats\"")?;
-    let stat = |k: &str| -> Result<usize, String> {
-        stats
-            .get(k)
-            .and_then(Json::as_f64)
-            .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as usize)
-            .ok_or(format!("stats: missing count \"{k}\""))
-    };
-    let configurations = stat("configurations")?;
-    let full_evaluations = stat("full_evaluations")?;
-    let memo_hits = stat("memo_hits")?;
-    let pruned = stat("pruned")?;
-    if full_evaluations + memo_hits + pruned != configurations {
-        return Err(format!(
-            "work accounting broken: {full_evaluations} + {memo_hits} + {pruned} != {configurations}"
-        ));
-    }
+    let stats = doc.get("stats")?;
+    let configurations = count(&stats, "configurations")?;
+    let (full_evaluations, memo_hits, pruned) = work(&stats, configurations)?;
 
     // the warm pass: same accounting, and the session cache must not
     // *increase* the number of full evaluations
-    let warm = doc.get("warm").ok_or("missing \"warm\" object (v2)")?;
-    let warm_stat = |k: &str| -> Result<usize, String> {
-        warm.get(k)
-            .and_then(Json::as_f64)
-            .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as usize)
-            .ok_or(format!("warm: missing count \"{k}\""))
-    };
-    warm.get("elapsed_ms")
-        .and_then(Json::as_f64)
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .ok_or("warm: missing non-negative \"elapsed_ms\"")?;
-    let warm_full = warm_stat("full_evaluations")?;
-    let warm_memo = warm_stat("memo_hits")?;
-    let warm_pruned = warm_stat("pruned")?;
-    if warm_full + warm_memo + warm_pruned != configurations {
-        return Err(format!(
-            "warm work accounting broken: {warm_full} + {warm_memo} + {warm_pruned} != {configurations}"
-        ));
-    }
+    let warm = doc.get("warm")?;
+    warm.get("elapsed_ms")?.num_in(0.0..)?;
+    let (warm_full, _, _) = work(&warm, configurations)?;
     if warm_full > full_evaluations {
         return Err(format!(
             "warm pass performed more full evaluations ({warm_full}) than the cold pass ({full_evaluations})"
@@ -601,99 +518,53 @@ pub fn validate(src: &str) -> Result<Summary, String> {
     // over the same store directory performs zero full evaluations, and it
     // actually read the store (a restart that silently recomputed in
     // memory would also report zero disk hits)
-    let restart = doc
-        .get("restart")
-        .ok_or("missing \"restart\" object (v3)")?;
-    let restart_stat = |k: &str| -> Result<usize, String> {
-        restart
-            .get(k)
-            .and_then(Json::as_f64)
-            .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as usize)
-            .ok_or(format!("restart: missing count \"{k}\""))
-    };
-    restart
-        .get("elapsed_ms")
-        .and_then(Json::as_f64)
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .ok_or("restart: missing non-negative \"elapsed_ms\"")?;
-    let restart_full = restart_stat("full_evaluations")?;
-    let restart_memo = restart_stat("memo_hits")?;
-    let restart_pruned = restart_stat("pruned")?;
-    if restart_full + restart_memo + restart_pruned != configurations {
-        return Err(format!(
-            "restart work accounting broken: {restart_full} + {restart_memo} + {restart_pruned} != {configurations}"
-        ));
-    }
+    let restart = doc.get("restart")?;
+    restart.get("elapsed_ms")?.num_in(0.0..)?;
+    let (restart_full, _, _) = work(&restart, configurations)?;
     if restart_full != 0 {
         return Err(format!(
             "restarted sweep performed {restart_full} full evaluations (must be 0: \
              every structure is served from the persistent store)"
         ));
     }
-    let store = restart
-        .get("store")
-        .ok_or("restart: missing \"store\" counters")?;
-    let store_stat = |k: &str| -> Result<usize, String> {
-        store
-            .get(k)
-            .and_then(Json::as_f64)
-            .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as usize)
-            .ok_or(format!("restart.store: missing count \"{k}\""))
-    };
-    if store_stat("disk_hits")? == 0 {
+    let store = restart.get("store")?;
+    if count(&store, "disk_hits")? == 0 {
         return Err("restarted sweep never read the store".to_string());
     }
-    if store_stat("bytes_read")? == 0 {
+    if count(&store, "bytes_read")? == 0 {
         return Err("restarted sweep read zero bytes".to_string());
     }
     // deliberately NOT required: bytes_written > 0 — a re-invocation over
     // an already-populated --cache directory writes nothing anywhere
-    store_stat("bytes_written")?;
-    store_stat("disk_misses")?;
-    store_stat("corrupt_recovered")?;
-    store_stat("write_errors")?;
+    for key in [
+        "bytes_written",
+        "disk_misses",
+        "corrupt_recovered",
+        "write_errors",
+    ] {
+        count(&store, key)?;
+    }
 
-    let fronts = doc
-        .get("fronts")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"fronts\" array")?;
+    let fronts = doc.get("fronts")?.items()?;
     if fronts.is_empty() {
         return Err("\"fronts\" is empty".to_string());
     }
     let mut front_sizes = Vec::new();
-    for f in fronts {
-        let workload = f
-            .get("workload")
-            .and_then(Json::as_f64)
-            .ok_or("front: missing \"workload\"")? as usize;
-        let points = f
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("front: missing \"points\"")?;
+    for f in &fronts {
+        let workload = count(f, "workload")?;
+        let points = f.get("points")?.items()?;
         if points.is_empty() {
             return Err(format!("front for workload {workload} is empty"));
         }
         let mut objs: Vec<Objectives> = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            let num = |k: &str| -> Result<f64, String> {
-                p.get(k)
-                    .and_then(Json::as_f64)
-                    .filter(|x| x.is_finite() && *x > 0.0)
-                    .ok_or(format!(
-                        "workload {workload} point {i}: \"{k}\" not a positive number"
-                    ))
-            };
-            p.get("label")
-                .and_then(Json::as_str)
-                .ok_or(format!("workload {workload} point {i}: missing label"))?;
+        for p in &points {
+            p.get("label")?.str()?;
             objs.push(Objectives {
-                throughput: num("throughput")?,
-                energy_per_item: num("energy_per_item")?,
-                area: num("area")?,
+                throughput: p.get("throughput")?.num_in(POSITIVE)?,
+                energy_per_item: p.get("energy_per_item")?.num_in(POSITIVE)?,
+                area: p.get("area")?.num_in(POSITIVE)?,
             });
-            num("period_units")?;
+            p.get("period_units")?.num_in(POSITIVE)?;
         }
         for (i, a) in objs.iter().enumerate() {
             if i + 1 < objs.len() && a.throughput < objs[i + 1].throughput {
@@ -712,18 +583,12 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         front_sizes.push((workload, points.len()));
     }
 
-    let dp = doc.get("design_point").ok_or("missing \"design_point\"")?;
-    let on_front = dp
-        .get("on_front")
-        .and_then(Json::as_bool)
-        .ok_or("design_point: missing \"on_front\"")?;
+    let dp = doc.get("design_point")?;
+    let on_front = dp.get("on_front")?.bool()?;
     if !on_front {
         return Err("the design point is not on its Pareto front".to_string());
     }
-    let dp_label = dp
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("design_point: missing \"label\"")?;
+    let dp_label = dp.get("label")?.str()?;
 
     if !quick {
         if configurations < 500 {
@@ -739,10 +604,7 @@ pub fn validate(src: &str) -> Result<Summary, String> {
                 "full-sweep design point is {dp_label:?}, expected {PAPER_DESIGN_POINT:?}"
             ));
         }
-        let period = dp
-            .get("period_units")
-            .and_then(Json::as_f64)
-            .ok_or("design_point: missing \"period_units\"")?;
+        let period = dp.get("period_units")?.num()?;
         if (period - PAPER_DESIGN_PERIOD).abs() > 1e-6 {
             return Err(format!(
                 "design-point period {period} drifted from the pinned {PAPER_DESIGN_PERIOD}"
@@ -758,4 +620,150 @@ pub fn validate(src: &str) -> Result<Summary, String> {
         front_sizes,
         design_point_on_front: on_front,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_dse::Evaluation;
+
+    fn point(
+        hardware: Hardware,
+        workload: usize,
+        objectives: (f64, f64, f64),
+        period_units: f64,
+        memoized: bool,
+        check_truncated: bool,
+    ) -> Evaluation {
+        let config = rap_dse::Config {
+            hardware,
+            workload,
+            sizing: 1.0,
+            voltage: 1.2,
+            delays: ope_stage_delays(),
+        };
+        Evaluation {
+            label: config.label(),
+            config,
+            objectives: Objectives {
+                throughput: objectives.0,
+                energy_per_item: objectives.1,
+                area: objectives.2,
+            },
+            period_units,
+            phases: 2,
+            check_truncated,
+            check_violated: false,
+            memoized,
+        }
+    }
+
+    /// A quick-mode sweep with fixed timings and counters, so the
+    /// documents rendered from it are byte-stable.
+    fn fixed_run() -> SweepRun {
+        let reconfigurable = Hardware::Reconfigurable {
+            stages: 3,
+            share_ctrl: true,
+        };
+        let fronts: std::collections::BTreeMap<usize, Vec<Evaluation>> = [
+            (
+                1,
+                vec![
+                    point(
+                        Hardware::Wagged { ways: 2, stages: 3 },
+                        1,
+                        (2.345_678_901_234_5e8, 1.5e-11, 2400.0),
+                        10.5,
+                        false,
+                        true,
+                    ),
+                    point(
+                        Hardware::Static { stages: 3 },
+                        1,
+                        (1.25e8, 9.0e-12, 1150.25),
+                        19.0,
+                        true,
+                        false,
+                    ),
+                ],
+            ),
+            (
+                2,
+                vec![point(
+                    reconfigurable,
+                    2,
+                    (1.3157894736842106e8, 1.0e-11, 1300.0),
+                    19.0,
+                    false,
+                    false,
+                )],
+            ),
+        ]
+        .into_iter()
+        .collect();
+        SweepRun {
+            outcome: DseOutcome {
+                evaluations: fronts.values().flatten().cloned().collect(),
+                fronts,
+                stats: rap_dse::SweepStats {
+                    enumerated: 48,
+                    full_evaluations: 12,
+                    memo_hits: 30,
+                    pruned: 6,
+                    check_inconclusive: 1,
+                    ..rap_dse::SweepStats::default()
+                },
+            },
+            elapsed_ms: 812.345_6,
+            warm_elapsed_ms: 3.0,
+            warm_stats: rap_dse::SweepStats {
+                enumerated: 48,
+                memo_hits: 42,
+                pruned: 6,
+                ..rap_dse::SweepStats::default()
+            },
+            restart_elapsed_ms: 41.999_9,
+            restart_stats: rap_dse::SweepStats {
+                enumerated: 48,
+                memo_hits: 42,
+                pruned: 6,
+                ..rap_dse::SweepStats::default()
+            },
+            restart_store: rap_session::StoreStats {
+                disk_hits: 12,
+                bytes_read: 34_567,
+                ..rap_session::StoreStats::default()
+            },
+            threads: 2,
+            quick: true,
+        }
+    }
+
+    #[test]
+    fn golden_bytes() {
+        let run = fixed_run();
+        let plain = render_json(&run, None);
+        validate(&plain).unwrap();
+        assert_eq!(plain, include_str!("../tests/golden/dse.json"));
+        let snap = crate::trace::tests::fixed_snapshot();
+        let traced = render_json(&run, Some(&snap));
+        validate(&traced).unwrap();
+        assert_eq!(traced, include_str!("../tests/golden/dse_traced.json"));
+    }
+
+    #[test]
+    fn validation_rejects_broken_documents() {
+        let run = fixed_run();
+        let good = render_json(&run, None);
+        let front = "\"workload\": 1,\n      \"points\"";
+        assert!(good.contains(front));
+        for workload in ["-1", "2.5"] {
+            let bad = good.replace(front, &front.replace('1', workload));
+            assert!(validate(&bad).is_err(), "accepted workload {workload}");
+        }
+        let traced = render_json(&run, Some(&crate::trace::tests::fixed_snapshot()));
+        for bad in crate::trace::tests::broken_summaries(&traced) {
+            assert!(validate(&bad).is_err(), "accepted:\n{bad}");
+        }
+    }
 }

@@ -1,6 +1,10 @@
-//! Shared helpers for the experiment binaries that regenerate every table
-//! and figure of the paper's evaluation (see `DESIGN.md` §4 for the index
-//! and `EXPERIMENTS.md` for recorded results).
+//! Shared helpers for the experiment binaries in `src/bin/` that
+//! regenerate every table and figure of the paper's evaluation (the
+//! repository README lists them and records their results). The two
+//! JSON documents the binaries persist, `BENCH_dse.json` ([`dse`]) and
+//! `BENCH_state_space.json` ([`state_space`]), and the `rap/trace/v1`
+//! trace every binary can write ([`trace`]) are all built and read
+//! through [`json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +35,9 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
-/// Formats a float with the given precision, or `inf`/`-` for non-finite.
+/// Formats a float with the given precision, or `frozen` for non-finite
+/// values (the infinite delay of a circuit supplied at or below its
+/// threshold voltage).
 #[must_use]
 pub fn num(x: f64, digits: usize) -> String {
     if x.is_finite() {

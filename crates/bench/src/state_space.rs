@@ -17,7 +17,7 @@
 //! The emitted JSON is this repo's recorded perf trajectory; its schema is
 //! validated by [`validate`], which both the binary and the smoke tests run.
 
-use crate::json::{escape, Json};
+use crate::json::{Field, Json, Layout, Node};
 use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::wagging::wagged_pipeline;
 use dfs_core::{node_rotation_symmetry, to_petri, Dfs, Lts};
@@ -211,21 +211,17 @@ fn measure_case(
 /// Runs the sweep. `quick` restricts it to sub-second shapes (CI smoke);
 /// the full sweep covers the acceptance shape `reconfigurable_depth(3,3)`
 /// and the 2-way wagged pipeline (~1.5M states).
-#[must_use]
-pub fn run_sweep(quick: bool) -> Vec<Case> {
-    run_sweep_traced(quick, &Obs::none())
-}
-
-/// [`run_sweep`] with a recorder attached: each case opens a
-/// `bench.case.petri` / `bench.case.lts` span, and the parallel and
-/// quotient explorations inside it emit the engine's per-level
-/// `engine.level.expand` / `engine.level.dedup` / `engine.level.commit`
-/// spans plus the `engine.*` counters — so a traced
+///
+/// Each case opens a `bench.case.petri` / `bench.case.lts` span under
+/// `obs`, and the parallel and quotient explorations inside it emit the
+/// engine's per-level `engine.level.expand` / `engine.level.dedup` /
+/// `engine.level.commit` spans plus the `engine.*` counters — so a traced
 /// `BENCH_state_space.json` can attribute each case's wall-clock to the
-/// engine's phases. Recording is observation-only: states, truncation and
-/// every thread-count-invariance assertion are unchanged.
+/// engine's phases. Pass [`Obs::none`] to record nothing. Recording is
+/// observation-only: states, truncation and every
+/// thread-count-invariance assertion are unchanged.
 #[must_use]
-pub fn run_sweep_traced(quick: bool, obs: &Obs) -> Vec<Case> {
+pub fn run_sweep(quick: bool, obs: &Obs) -> Vec<Case> {
     let reconfig = |n: usize, k: usize| {
         build_pipeline(&PipelineSpec::reconfigurable_depth(n, k).expect("valid sweep shape"))
             .expect("pipeline builds")
@@ -285,68 +281,39 @@ pub fn run_sweep_traced(quick: bool, obs: &Obs) -> Vec<Case> {
     cases
 }
 
-/// Renders the sweep as the `BENCH_state_space.json` document.
+/// Renders the sweep as the `BENCH_state_space.json` document, with a
+/// `trace_summary` member (wall-clock, span coverage, top-5 spans by
+/// self-time) when `trace` holds a traced run's [`Snapshot`] — the
+/// per-level engine spans let the document say how the sweep's
+/// wall-clock splits across expand/dedup/commit. The member is additive:
+/// every measured number is the same with or without it.
 #[must_use]
-pub fn render_json(cases: &[Case], quick: bool) -> String {
-    render_json_with_trace(cases, quick, None)
-}
-
-/// [`render_json`] with an optional `trace_summary` block from a traced
-/// run's [`Snapshot`] — the per-level engine spans let the document say
-/// how the sweep's wall-clock splits across expand/dedup/commit. The
-/// block is additive: the document stays schema-valid without it and
-/// every measured number is unchanged.
-#[must_use]
-pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapshot>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", escape(SCHEMA)));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"max_states\": {MAX_STATES},\n"));
-    if let Some(snap) = trace {
-        out.push_str(&format!(
-            "  \"trace_summary\": {},\n",
-            crate::trace::summary_block(snap, "  ")
-        ));
-    }
-    out.push_str("  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": {},\n", escape(&c.name)));
-        out.push_str(&format!("      \"backend\": {},\n", escape(c.backend)));
-        out.push_str(&format!("      \"states\": {},\n", c.states));
-        out.push_str(&format!("      \"truncated\": {},\n", c.truncated));
-        out.push_str(&format!("      \"naive_ms\": {:.3},\n", c.naive_ms));
-        out.push_str(&format!("      \"engine_ms\": {:.3},\n", c.engine_ms));
-        out.push_str("      \"threads\": [");
-        for (j, t) in c.threads.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"threads\": {}, \"ms\": {:.3}}}",
-                t.threads, t.ms
-            ));
-        }
-        out.push_str("],\n");
-        match (c.quotient_states, c.quotient_ms) {
-            (Some(q), Some(ms)) => {
-                out.push_str(&format!("      \"quotient_states\": {q},\n"));
-                out.push_str(&format!("      \"quotient_ms\": {ms:.3},\n"));
-            }
-            _ => {
-                out.push_str("      \"quotient_states\": null,\n");
-                out.push_str("      \"quotient_ms\": null,\n");
-            }
-        }
-        out.push_str(&format!("      \"speedup\": {:.3}\n", c.speedup()));
-        out.push_str(if i + 1 == cases.len() {
-            "    }\n"
-        } else {
-            "    },\n"
+pub fn render_json(cases: &[Case], quick: bool, trace: Option<&Snapshot>) -> String {
+    use Layout::{Block, Inline};
+    let ms = |x: f64| Node::Fixed(x, 3);
+    let rows = cases.iter().map(|c| {
+        let threads = c.threads.iter().map(|t| {
+            Node::Obj(
+                Inline,
+                vec![("threads", t.threads.into()), ("ms", ms(t.ms))],
+            )
         });
-    }
-    out.push_str("  ],\n");
+        Node::Obj(
+            Block,
+            vec![
+                ("name", c.name.as_str().into()),
+                ("backend", c.backend.into()),
+                ("states", c.states.into()),
+                ("truncated", c.truncated.into()),
+                ("naive_ms", ms(c.naive_ms)),
+                ("engine_ms", ms(c.engine_ms)),
+                ("threads", Node::Arr(Inline, threads.collect())),
+                ("quotient_states", c.quotient_states.into()),
+                ("quotient_ms", c.quotient_ms.map(ms).into()),
+                ("speedup", ms(c.speedup())),
+            ],
+        )
+    });
     let min = cases
         .iter()
         .map(Case::speedup)
@@ -361,15 +328,27 @@ pub fn render_json_with_trace(cases: &[Case], quick: bool, trace: Option<&Snapsh
         .iter()
         .filter_map(Case::quotient_reduction)
         .fold(1.0f64, f64::max);
-    out.push_str("  \"summary\": {\n");
-    out.push_str(&format!("    \"cases\": {},\n", cases.len()));
-    out.push_str(&format!("    \"min_speedup\": {min:.3},\n"));
-    out.push_str(&format!("    \"geomean_speedup\": {geomean:.3},\n"));
-    out.push_str(&format!("    \"max_thread_speedup\": {max_thread:.3},\n"));
-    out.push_str(&format!("    \"max_quotient_reduction\": {max_quot:.3}\n"));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    let mut doc = vec![
+        ("schema", SCHEMA.into()),
+        ("quick", quick.into()),
+        ("max_states", MAX_STATES.into()),
+    ];
+    doc.extend(trace.map(|snap| ("trace_summary", crate::trace::summary(snap))));
+    doc.push(("cases", Node::Arr(Block, rows.collect())));
+    doc.push((
+        "summary",
+        Node::Obj(
+            Block,
+            vec![
+                ("cases", cases.len().into()),
+                ("min_speedup", Node::Fixed(min, 3)),
+                ("geomean_speedup", Node::Fixed(geomean, 3)),
+                ("max_thread_speedup", Node::Fixed(max_thread, 3)),
+                ("max_quotient_reduction", Node::Fixed(max_quot, 3)),
+            ],
+        ),
+    ));
+    Node::Obj(Block, doc).write()
 }
 
 /// Summary extracted from a valid `BENCH_state_space.json`.
@@ -391,138 +370,85 @@ pub struct Summary {
 /// Validates a `BENCH_state_space.json` document against the v2 schema and
 /// returns its summary.
 ///
+/// Beyond shape checks, this re-derives each case's speedup from its
+/// timings, requires every threads axis to be strictly increasing and
+/// every quotient to lie in `[1, states]`, and checks the summary's case
+/// count and minimum speedup against the cases.
+///
 /// # Errors
 ///
 /// A description of the first schema violation found.
 pub fn validate(src: &str) -> Result<Summary, String> {
-    let doc = Json::parse(src)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\"")?;
+    let parsed = Json::parse(src)?;
+    let doc = Field::root(&parsed);
+    let schema = doc.get("schema")?.str()?;
     if schema != SCHEMA {
         return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
     }
-    doc.get("quick")
-        .and_then(Json::as_bool)
-        .ok_or("missing boolean \"quick\"")?;
+    doc.get("quick")?.bool()?;
     // optional (only present when the run was traced), but well-formed
     // when it is there
-    if let Some(ts) = doc.get("trace_summary") {
-        ts.get("wall_ns")
-            .and_then(Json::as_f64)
-            .filter(|x| *x >= 1.0)
-            .ok_or("trace_summary: missing positive \"wall_ns\"")?;
-        ts.get("coverage")
-            .and_then(Json::as_f64)
-            .filter(|x| (0.0..=1.0).contains(x))
-            .ok_or("trace_summary: missing \"coverage\" in [0, 1]")?;
-        ts.get("top_self")
-            .and_then(Json::as_arr)
-            .ok_or("trace_summary: missing \"top_self\" array")?;
+    if let Some(ts) = doc.opt("trace_summary") {
+        crate::trace::check_summary(&ts)?;
     }
-    let cases = doc
-        .get("cases")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"cases\" array")?;
+    let cases = doc.get("cases")?.items()?;
     if cases.is_empty() {
         return Err("\"cases\" is empty".to_string());
     }
     let mut min = f64::INFINITY;
-    for (i, c) in cases.iter().enumerate() {
-        let field = |k: &str| c.get(k).ok_or(format!("case {i}: missing \"{k}\""));
-        let backend = field("backend")?
-            .as_str()
-            .ok_or(format!("case {i}: \"backend\" not a string"))?;
+    for c in &cases {
+        let backend = c.get("backend")?.str()?;
         if backend != "petri" && backend != "lts" {
-            return Err(format!("case {i}: unknown backend {backend:?}"));
+            return Err(c.err(&format!("has unknown backend {backend:?}")));
         }
-        field("name")?
-            .as_str()
-            .ok_or(format!("case {i}: \"name\" not a string"))?;
-        field("truncated")?
-            .as_bool()
-            .ok_or(format!("case {i}: \"truncated\" not a bool"))?;
-        let num = |k: &str| -> Result<f64, String> {
-            field(k)?
-                .as_f64()
-                .filter(|x| x.is_finite() && *x >= 0.0)
-                .ok_or(format!("case {i}: \"{k}\" not a non-negative number"))
-        };
-        let (states, naive_ms, engine_ms, speedup) = (
-            num("states")?,
-            num("naive_ms")?,
-            num("engine_ms")?,
-            num("speedup")?,
-        );
+        c.get("name")?.str()?;
+        c.get("truncated")?.bool()?;
+        let states = c.get("states")?.count()? as f64;
+        let naive_ms = c.get("naive_ms")?.num_in(0.0..)?;
+        let engine_ms = c.get("engine_ms")?.num_in(0.0..)?;
+        let speedup = c.get("speedup")?.num_in(0.0..)?;
         if states < 1.0 {
-            return Err(format!("case {i}: zero states"));
+            return Err(c.err("has zero states"));
         }
         if engine_ms > 0.0 && (speedup - naive_ms / engine_ms).abs() > 0.05 * speedup.max(1.0) {
-            return Err(format!("case {i}: speedup inconsistent with timings"));
+            return Err(c.err("has a speedup inconsistent with its timings"));
         }
-        let threads = field("threads")?
-            .as_arr()
-            .ok_or(format!("case {i}: \"threads\" not an array"))?;
+        let threads = c.get("threads")?.items()?;
         if threads.is_empty() {
-            return Err(format!("case {i}: empty threads axis"));
+            return Err(c.err("has an empty threads axis"));
         }
-        let mut prev = 0.0f64;
-        for (j, t) in threads.iter().enumerate() {
-            let tn = t
-                .get("threads")
-                .and_then(Json::as_f64)
-                .filter(|x| *x >= 1.0)
-                .ok_or(format!("case {i}: threads[{j}] missing worker count"))?;
+        let mut prev = 0;
+        for t in &threads {
+            let tn = t.get("threads")?.count()?;
             if tn <= prev {
-                return Err(format!("case {i}: threads axis not strictly increasing"));
+                return Err(c.err("has a threads axis that is not strictly increasing"));
             }
             prev = tn;
-            t.get("ms")
-                .and_then(Json::as_f64)
-                .filter(|x| x.is_finite() && *x >= 0.0)
-                .ok_or(format!("case {i}: threads[{j}] missing \"ms\""))?;
+            t.get("ms")?.num_in(0.0..)?;
         }
-        let qs = field("quotient_states")?;
-        match qs.as_f64() {
-            Some(q) => {
-                if !(1.0..=states).contains(&q) {
-                    return Err(format!("case {i}: quotient_states outside [1, states]"));
-                }
-                field("quotient_ms")?
-                    .as_f64()
-                    .filter(|x| x.is_finite() && *x >= 0.0)
-                    .ok_or(format!("case {i}: quotient without \"quotient_ms\""))?;
+        let qs = c.get("quotient_states")?;
+        if *qs.value() != Json::Null {
+            if !(1.0..=states).contains(&(qs.count()? as f64)) {
+                return Err(qs.err("is outside [1, states]"));
             }
-            None => {
-                if *qs != Json::Null {
-                    return Err(format!("case {i}: \"quotient_states\" not number or null"));
-                }
-            }
+            c.get("quotient_ms")?.num_in(0.0..)?;
         }
         min = min.min(speedup);
     }
-    let summary = doc.get("summary").ok_or("missing \"summary\"")?;
-    let get_num = |k: &str| -> Result<f64, String> {
-        summary
-            .get(k)
-            .and_then(Json::as_f64)
-            .ok_or(format!("summary: missing number \"{k}\""))
-    };
-    let n = get_num("cases")?;
-    if n as usize != cases.len() {
+    let summary = doc.get("summary")?;
+    if summary.get("cases")?.count()? != cases.len() as u64 {
         return Err("summary case count disagrees with \"cases\"".to_string());
     }
-    let min_speedup = get_num("min_speedup")?;
+    let min_speedup = summary.get("min_speedup")?.num()?;
     if (min_speedup - min).abs() > 0.05 * min.max(1.0) {
         return Err("summary min_speedup disagrees with cases".to_string());
     }
     Ok(Summary {
         cases: cases.len(),
         min_speedup,
-        geomean_speedup: get_num("geomean_speedup")?,
-        max_thread_speedup: get_num("max_thread_speedup")?,
-        max_quotient_reduction: get_num("max_quotient_reduction")?,
+        geomean_speedup: summary.get("geomean_speedup")?.num()?,
+        max_thread_speedup: summary.get("max_thread_speedup")?.num()?,
+        max_quotient_reduction: summary.get("max_quotient_reduction")?.num()?,
     })
 }
 
@@ -576,8 +502,22 @@ mod tests {
     }
 
     #[test]
+    fn golden_bytes() {
+        let plain = render_json(&fake_cases(), true, None);
+        validate(&plain).unwrap();
+        assert_eq!(plain, include_str!("../tests/golden/state_space.json"));
+        let snap = crate::trace::tests::fixed_snapshot();
+        let traced = render_json(&fake_cases(), true, Some(&snap));
+        validate(&traced).unwrap();
+        assert_eq!(
+            traced,
+            include_str!("../tests/golden/state_space_traced.json")
+        );
+    }
+
+    #[test]
     fn render_validate_roundtrip() {
-        let json = render_json(&fake_cases(), true);
+        let json = render_json(&fake_cases(), true, None);
         let summary = validate(&json).unwrap();
         assert_eq!(summary.cases, 2);
         assert!((summary.min_speedup - 3.0).abs() < 0.05);
@@ -587,7 +527,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_documents() {
-        let good = render_json(&fake_cases(), true);
+        let good = render_json(&fake_cases(), true, None);
         assert!(validate(&good.replace(SCHEMA, "rap/state-space-scaling/v1")).is_err());
         assert!(validate(&good.replace("\"cases\"", "\"cazes\"")).is_err());
         assert!(validate(&good.replace("\"speedup\": 3.000", "\"speedup\": 9.000")).is_err());
@@ -597,7 +537,17 @@ mod tests {
         assert!(
             validate(&good.replace("\"quotient_states\": 800", "\"quotient_states\": 0")).is_err()
         );
+        assert!(validate(&good.replace("\"cases\": 2,", "\"cases\": 2.7,")).is_err());
         assert!(validate("{}").is_err());
         assert!(validate("not json").is_err());
+        // the trace_summary member is checked as strictly as in BENCH_dse.json
+        let traced = render_json(
+            &fake_cases(),
+            true,
+            Some(&crate::trace::tests::fixed_snapshot()),
+        );
+        for bad in crate::trace::tests::broken_summaries(&traced) {
+            assert!(validate(&bad).is_err(), "accepted:\n{bad}");
+        }
     }
 }

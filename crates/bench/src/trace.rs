@@ -51,9 +51,8 @@
 //! collector-setup/teardown overhead still passes.
 
 use crate::cli::BenchCli;
-use crate::json::{escape, Json};
+use crate::json::{Field, Json, Layout, Node};
 use rap_obs::{Collector, Obs, Snapshot};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -72,225 +71,195 @@ pub const MIN_COVERAGE: f64 = 0.9;
 /// otherwise dominate the ratio.
 pub const COVERAGE_SLACK_NS: u64 = 5_000_000;
 
+/// The most spans a `top_self` list names.
+const TOP_SELF: usize = 5;
+
 /// Renders a [`Snapshot`] as a `rap/trace/v1` JSON document.
 #[must_use]
 pub fn render(snap: &Snapshot) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", escape(SCHEMA));
-    let _ = writeln!(s, "  \"wall_ns\": {},", snap.wall_ns);
-    let _ = writeln!(s, "  \"coverage\": {:.6},", snap.coverage());
-
-    s.push_str("  \"spans\": [\n");
-    for (i, node) in snap.spans.iter().enumerate() {
-        let parent = node
-            .parent
-            .map_or_else(|| "null".to_string(), |p| p.to_string());
-        let _ = write!(
-            s,
-            "    {{\"id\": {i}, \"name\": {}, \"parent\": {parent}, \"count\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
-            escape(node.name),
-            node.count,
-            node.total_ns,
-            snap.self_ns(i)
-        );
-        s.push_str(if i + 1 < snap.spans.len() {
-            ",\n"
-        } else {
-            "\n"
+    use Layout::{Block, Inline};
+    let spans = snap.spans.iter().enumerate().map(|(i, node)| {
+        Node::Obj(
+            Inline,
+            vec![
+                ("id", i.into()),
+                ("name", node.name.into()),
+                ("parent", node.parent.map(u64::from).into()),
+                ("count", node.count.into()),
+                ("total_ns", node.total_ns.into()),
+                ("self_ns", snap.self_ns(i).into()),
+            ],
+        )
+    });
+    let histograms = snap.hists.iter().map(|h| {
+        let buckets = h.buckets.iter().map(|&(pow2, count)| {
+            Node::Obj(
+                Inline,
+                vec![("pow2", u64::from(pow2).into()), ("count", count.into())],
+            )
         });
-    }
-    s.push_str("  ],\n");
-
-    s.push_str("  \"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n    {}: {value}", escape(name));
-    }
-    s.push_str(if snap.counters.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
+        Node::Obj(
+            Inline,
+            vec![
+                ("name", h.name.into()),
+                ("count", h.count.into()),
+                ("total_ns", h.total_ns.into()),
+                ("buckets", Node::Arr(Inline, buckets.collect())),
+            ],
+        )
     });
-
-    s.push_str("  \"gauges\": {");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n    {}: {value:.6}", escape(name));
-    }
-    s.push_str(if snap.gauges.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
+    // 64-bit payloads (structural hashes) as hex strings: a float-typed
+    // JSON number would corrupt them
+    let events = snap.events.iter().map(|e| {
+        Node::Obj(
+            Inline,
+            vec![
+                ("kind", e.kind.into()),
+                ("label", e.label.as_str().into()),
+                ("value", Node::Str(format!("{:#018x}", e.value))),
+            ],
+        )
     });
+    Node::Obj(
+        Block,
+        vec![
+            ("schema", SCHEMA.into()),
+            ("wall_ns", snap.wall_ns.into()),
+            ("coverage", Node::Fixed(snap.coverage(), 6)),
+            ("spans", Node::Arr(Block, spans.collect())),
+            (
+                "counters",
+                Node::Obj(
+                    Block,
+                    snap.counters.iter().map(|(k, v)| (k, v.into())).collect(),
+                ),
+            ),
+            (
+                "gauges",
+                Node::Obj(
+                    Block,
+                    snap.gauges
+                        .iter()
+                        .map(|&(k, v)| (k, Node::Fixed(v, 6)))
+                        .collect(),
+                ),
+            ),
+            ("histograms", Node::Arr(Block, histograms.collect())),
+            ("events", Node::Arr(Block, events.collect())),
+            ("dropped_events", snap.dropped_events.into()),
+            (
+                "summary",
+                Node::Obj(Inline, vec![("top_self", top_self(snap))]),
+            ),
+        ],
+    )
+    .write()
+}
 
-    s.push_str("  \"histograms\": [");
-    for (i, h) in snap.hists.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let buckets: Vec<String> = h
-            .buckets
-            .iter()
-            .map(|&(pow2, count)| format!("{{\"pow2\": {pow2}, \"count\": {count}}}"))
-            .collect();
-        let _ = write!(
-            s,
-            "\n    {{\"name\": {}, \"count\": {}, \"total_ns\": {}, \"buckets\": [{}]}}",
-            escape(h.name),
-            h.count,
-            h.total_ns,
-            buckets.join(", ")
-        );
-    }
-    s.push_str(if snap.hists.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
+fn top_self(snap: &Snapshot) -> Node {
+    let rows = snap.top_self(TOP_SELF).into_iter().map(|(name, self_ns)| {
+        Node::Obj(
+            Layout::Inline,
+            vec![("name", name.into()), ("self_ns", self_ns.into())],
+        )
     });
+    Node::Arr(Layout::Inline, rows.collect())
+}
 
-    s.push_str("  \"events\": [");
-    for (i, e) in snap.events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"kind\": {}, \"label\": {}, \"value\": \"{:#018x}\"}}",
-            escape(e.kind),
-            escape(&e.label),
-            e.value
-        );
+fn check_top_self(top: &Field) -> Result<(), String> {
+    let rows = top.items()?;
+    if rows.len() > TOP_SELF {
+        return Err(top.err(&format!("has {} entries (max {TOP_SELF})", rows.len())));
     }
-    s.push_str(if snap.events.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-
-    let _ = writeln!(s, "  \"dropped_events\": {},", snap.dropped_events);
-
-    s.push_str("  \"summary\": {\"top_self\": [");
-    for (i, (name, self_ns)) in snap.top_self(5).iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{{\"name\": {}, \"self_ns\": {self_ns}}}", escape(name));
+    for row in &rows {
+        row.get("name")?.str()?;
+        row.get("self_ns")?.count()?;
     }
-    s.push_str("]}\n}\n");
-    s
+    Ok(())
 }
 
 /// The `trace_summary` member embedded into `BENCH_*.json` documents when
 /// a run was traced: wall-clock, coverage and the top-5 spans by
-/// self-time. `indent` prefixes every emitted line (the caller controls
-/// nesting depth).
+/// self-time.
 #[must_use]
-pub fn summary_block(snap: &Snapshot, indent: &str) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "{indent}  \"wall_ns\": {},", snap.wall_ns);
-    let _ = writeln!(s, "{indent}  \"coverage\": {:.6},", snap.coverage());
-    let _ = write!(s, "{indent}  \"top_self\": [");
-    for (i, (name, self_ns)) in snap.top_self(5).iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{{\"name\": {}, \"self_ns\": {self_ns}}}", escape(name));
-    }
-    s.push_str("]\n");
-    let _ = write!(s, "{indent}}}");
-    s
+pub fn summary(snap: &Snapshot) -> Node {
+    Node::Obj(
+        Layout::Block,
+        vec![
+            ("wall_ns", snap.wall_ns.into()),
+            ("coverage", Node::Fixed(snap.coverage(), 6)),
+            ("top_self", top_self(snap)),
+        ],
+    )
 }
 
-fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing `{key}`"))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    let x = req(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("`{key}` is not a number"))?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(format!("`{key}` is not a non-negative integer"));
+/// Checks a [`summary`] member read back from a `BENCH_*.json` document.
+///
+/// # Errors
+///
+/// A message naming the first malformed field.
+pub fn check_summary(summary: &Field) -> Result<(), String> {
+    if summary.get("wall_ns")?.count()? == 0 {
+        return Err(summary.err("has a zero `wall_ns`"));
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    Ok(x as u64)
+    summary.get("coverage")?.num_in(0.0..=1.0)?;
+    check_top_self(&summary.get("top_self")?)
 }
 
 /// Validates `src` as a `rap/trace/v1` document.
 ///
 /// Structural checks: the schema tag, a well-formed span array (ids equal
 /// indices, the root at index 0 with `parent: null`, every other parent a
-/// smaller index), number-valued counters/gauges, histograms whose bucket
-/// counts sum to the histogram count, hex-string event values, and a
-/// `summary.top_self` of at most five entries. Semantic check: when the
-/// root has children, `coverage` must be at least [`MIN_COVERAGE`] —
-/// unless the uncovered wall-clock is under [`COVERAGE_SLACK_NS`], which
-/// exempts near-instant runs whose only unaccounted time is the
-/// collector's own fixed overhead.
+/// smaller index), integer-valued counters, number-valued gauges,
+/// histograms whose bucket counts sum to the histogram count, hex-string
+/// event values, and a `summary.top_self` of at most five entries.
+/// Semantic check: when the root has children, `coverage` must be at
+/// least [`MIN_COVERAGE`] — unless the uncovered wall-clock is under
+/// [`COVERAGE_SLACK_NS`], which exempts near-instant runs whose only
+/// unaccounted time is the collector's own fixed overhead.
 ///
 /// # Errors
 ///
 /// A human-readable message naming the first violated rule.
 pub fn validate(src: &str) -> Result<(), String> {
-    let doc = Json::parse(src)?;
-    if req(&doc, "schema")?.as_str() != Some(SCHEMA) {
-        return Err(format!("`schema` is not {SCHEMA:?}"));
+    let parsed = Json::parse(src)?;
+    let doc = Field::root(&parsed);
+    let schema = doc.get("schema")?;
+    if schema.str()? != SCHEMA {
+        return Err(schema.err(&format!("is not {SCHEMA:?}")));
     }
-    let wall_ns = req_u64(&doc, "wall_ns")?;
+    let wall_ns = doc.get("wall_ns")?.count()?;
     if wall_ns == 0 {
         return Err("`wall_ns` is zero".to_string());
     }
-    let coverage = req(&doc, "coverage")?
-        .as_f64()
-        .ok_or("`coverage` is not a number")?;
-    if !(0.0..=1.0).contains(&coverage) {
-        return Err(format!("`coverage` {coverage} outside [0, 1]"));
-    }
+    let coverage = doc.get("coverage")?.num_in(0.0..=1.0)?;
 
-    let spans = req(&doc, "spans")?
-        .as_arr()
-        .ok_or("`spans` is not an array")?;
+    let spans = doc.get("spans")?.items()?;
     if spans.is_empty() {
         return Err("`spans` is empty (no root)".to_string());
     }
     let mut root_has_children = false;
     for (i, span) in spans.iter().enumerate() {
-        let id = req_u64(span, "id")?;
-        if id != i as u64 {
-            return Err(format!("span {i} has id {id} (ids must equal indices)"));
+        if span.get("id")?.count()? != i as u64 {
+            return Err(span.err("has an id other than its index"));
         }
-        let name = req(span, "name")?
-            .as_str()
-            .ok_or_else(|| format!("span {i} name is not a string"))?;
-        if name.is_empty() {
-            return Err(format!("span {i} has an empty name"));
+        if span.get("name")?.str()?.is_empty() {
+            return Err(span.err("has an empty name"));
         }
-        req_u64(span, "count")?;
-        req_u64(span, "total_ns")?;
-        req_u64(span, "self_ns")?;
-        match (i, req(span, "parent")?) {
+        span.get("count")?.count()?;
+        span.get("total_ns")?.count()?;
+        span.get("self_ns")?.count()?;
+        let parent = span.get("parent")?;
+        match (i, parent.value()) {
             (0, Json::Null) => {}
             (0, _) => return Err("root span parent is not null".to_string()),
-            (_, Json::Null) => return Err(format!("span {i} has a null parent")),
-            (_, p) => {
-                let parent = p
-                    .as_f64()
-                    .ok_or_else(|| format!("span {i} parent is not a number"))?;
-                #[allow(clippy::cast_precision_loss)]
-                if !(0.0..i as f64).contains(&parent) || parent.fract() != 0.0 {
-                    return Err(format!(
-                        "span {i} parent {parent} is not an earlier span index"
-                    ));
+            (_, Json::Null) => return Err(parent.err("is null off the root")),
+            (_, _) => {
+                let p = parent.count()?;
+                if p >= i as u64 {
+                    return Err(parent.err("is not an earlier span index"));
                 }
-                if parent == 0.0 {
-                    root_has_children = true;
-                }
+                root_has_children |= p == 0;
             }
         }
     }
@@ -307,96 +276,39 @@ pub fn validate(src: &str) -> Result<(), String> {
         ));
     }
 
-    match req(&doc, "counters")? {
-        Json::Obj(m) => {
-            for (name, v) in m {
-                let x = v
-                    .as_f64()
-                    .ok_or(format!("counter `{name}` is not a number"))?;
-                if x < 0.0 || x.fract() != 0.0 {
-                    return Err(format!("counter `{name}` is not a non-negative integer"));
-                }
-            }
-        }
-        _ => return Err("`counters` is not an object".to_string()),
+    for (_, counter) in doc.get("counters")?.members()? {
+        counter.count()?;
     }
-    match req(&doc, "gauges")? {
-        Json::Obj(m) => {
-            for (name, v) in m {
-                v.as_f64()
-                    .ok_or(format!("gauge `{name}` is not a number"))?;
-            }
-        }
-        _ => return Err("`gauges` is not an object".to_string()),
+    for (_, gauge) in doc.get("gauges")?.members()? {
+        gauge.num()?;
     }
-
-    for h in req(&doc, "histograms")?
-        .as_arr()
-        .ok_or("`histograms` is not an array")?
-    {
-        let name = req(h, "name")?
-            .as_str()
-            .ok_or("histogram name not a string")?;
-        let count = req_u64(h, "count")?;
-        req_u64(h, "total_ns")?;
+    for h in doc.get("histograms")?.items()? {
+        h.get("name")?.str()?;
+        let count = h.get("count")?.count()?;
+        h.get("total_ns")?.count()?;
         let mut bucket_sum = 0u64;
-        for b in req(h, "buckets")?
-            .as_arr()
-            .ok_or_else(|| format!("histogram `{name}` buckets is not an array"))?
-        {
-            let pow2 = req_u64(b, "pow2")?;
-            if pow2 > 64 {
-                return Err(format!("histogram `{name}` bucket pow2 {pow2} > 64"));
+        for b in h.get("buckets")?.items()? {
+            let pow2 = b.get("pow2")?;
+            if pow2.count()? > 64 {
+                return Err(pow2.err("exceeds 64"));
             }
-            bucket_sum += req_u64(b, "count")?;
+            bucket_sum += b.get("count")?.count()?;
         }
         if bucket_sum != count {
-            return Err(format!(
-                "histogram `{name}` buckets sum to {bucket_sum}, count says {count}"
-            ));
+            return Err(h.err(&format!("buckets sum to {bucket_sum}, count says {count}")));
         }
     }
-
-    for (i, e) in req(&doc, "events")?
-        .as_arr()
-        .ok_or("`events` is not an array")?
-        .iter()
-        .enumerate()
-    {
-        req(e, "kind")?
-            .as_str()
-            .ok_or_else(|| format!("event {i} kind is not a string"))?;
-        req(e, "label")?
-            .as_str()
-            .ok_or_else(|| format!("event {i} label is not a string"))?;
-        let value = req(e, "value")?
-            .as_str()
-            .ok_or_else(|| format!("event {i} value is not a string"))?;
-        let hex = value
-            .strip_prefix("0x")
-            .ok_or_else(|| format!("event {i} value {value:?} lacks the 0x prefix"))?;
-        if hex.is_empty() || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(format!("event {i} value {value:?} is not a hex literal"));
+    for e in doc.get("events")?.items()? {
+        e.get("kind")?.str()?;
+        e.get("label")?.str()?;
+        let value = e.get("value")?;
+        let hex = value.str()?.strip_prefix("0x");
+        if !hex.is_some_and(|h| !h.is_empty() && h.bytes().all(|b| b.is_ascii_hexdigit())) {
+            return Err(value.err("is not a 0x-prefixed hex literal"));
         }
     }
-    req_u64(&doc, "dropped_events")?;
-
-    let top = req(req(&doc, "summary")?, "top_self")?
-        .as_arr()
-        .ok_or("`summary.top_self` is not an array")?;
-    if top.len() > 5 {
-        return Err(format!(
-            "`summary.top_self` has {} entries (max 5)",
-            top.len()
-        ));
-    }
-    for (i, row) in top.iter().enumerate() {
-        req(row, "name")?
-            .as_str()
-            .ok_or_else(|| format!("top_self {i} name is not a string"))?;
-        req_u64(row, "self_ns")?;
-    }
-    Ok(())
+    doc.get("dropped_events")?.count()?;
+    check_top_self(&doc.get("summary")?.get("top_self")?)
 }
 
 /// A binary's `--trace-out` plumbing: a live [`Collector`] when the flag
@@ -431,12 +343,6 @@ impl TraceSink {
             .map_or_else(Obs::none, Obs::collecting)
     }
 
-    /// Whether a collector is attached.
-    #[must_use]
-    pub fn is_live(&self) -> bool {
-        self.collector.is_some()
-    }
-
     /// A point-in-time snapshot, when live. Take it only after the spans
     /// of interest have closed — open spans are not in the aggregate.
     #[must_use]
@@ -446,7 +352,7 @@ impl TraceSink {
 
     /// Snapshots, renders, **self-validates** and writes the trace, then
     /// prints where it went. Returns the snapshot so callers can also
-    /// embed a [`summary_block`] into their `BENCH_*.json`. No-op
+    /// embed its [`summary`] into their `BENCH_*.json`. No-op
     /// (returning `None`) when not tracing.
     ///
     /// # Panics
@@ -490,7 +396,7 @@ pub fn with_trace(cli: &BenchCli, body: impl FnOnce(&Obs)) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn collected() -> Snapshot {
@@ -510,6 +416,42 @@ mod tests {
         collector.snapshot()
     }
 
+    /// [`collected`] with every clock reading replaced by a constant, so
+    /// the documents rendered from it are byte-stable.
+    pub(crate) fn fixed_snapshot() -> Snapshot {
+        let mut snap = collected();
+        snap.wall_ns = 10_000_000;
+        let totals = [10_000_000, 9_600_000, 2_500_000];
+        assert_eq!(snap.spans.len(), totals.len(), "fixture span tree changed");
+        for (span, total) in snap.spans.iter_mut().zip(totals) {
+            span.total_ns = total;
+        }
+        snap
+    }
+
+    /// Copies of `doc` (which embeds [`fixed_snapshot`]'s summary) with a
+    /// malformed `trace_summary`: six `top_self` entries, an entry whose
+    /// name is not a string, a negative self-time.
+    pub(crate) fn broken_summaries(doc: &str) -> Vec<String> {
+        let first = r#"{"name": "bench.main", "self_ns": 7100000}"#;
+        assert!(doc.contains(first), "fixture summary changed");
+        vec![
+            doc.replace(
+                "\"top_self\": [",
+                &format!("\"top_self\": [{}", format!("{first}, ").repeat(4)),
+            ),
+            doc.replace(first, r#"{"name": 7, "self_ns": 7100000}"#),
+            doc.replace(first, r#"{"name": "bench.main", "self_ns": -1}"#),
+        ]
+    }
+
+    #[test]
+    fn golden_bytes() {
+        let doc = render(&fixed_snapshot());
+        validate(&doc).unwrap();
+        assert_eq!(doc, include_str!("../tests/golden/trace.json"));
+    }
+
     #[test]
     fn rendered_trace_validates() {
         let snap = collected();
@@ -517,12 +459,13 @@ mod tests {
         validate(&doc).unwrap();
         // and the parse agrees with the snapshot on the headline numbers
         let parsed = Json::parse(&doc).unwrap();
-        assert_eq!(parsed.get("schema").unwrap().as_str(), Some(SCHEMA));
+        let root = Field::root(&parsed);
+        assert_eq!(root.get("schema").unwrap().str(), Ok(SCHEMA));
         assert_eq!(
-            parsed.get("spans").unwrap().as_arr().unwrap().len(),
+            root.get("spans").unwrap().items().unwrap().len(),
             snap.spans.len()
         );
-        let cov = parsed.get("coverage").unwrap().as_f64().unwrap();
+        let cov = root.get("coverage").unwrap().num().unwrap();
         assert!((cov - snap.coverage()).abs() < 1e-5);
     }
 
@@ -565,14 +508,14 @@ mod tests {
     }
 
     #[test]
-    fn summary_block_is_embeddable() {
+    fn summary_is_embeddable() {
         let snap = collected();
-        let block = summary_block(&snap, "  ");
-        let wrapped = format!("{{\"trace_summary\": {block}}}");
+        let wrapped = Node::Obj(Layout::Block, vec![("trace_summary", summary(&snap))]).write();
         let parsed = Json::parse(&wrapped).unwrap();
-        let summary = parsed.get("trace_summary").unwrap();
-        assert!(summary.get("wall_ns").unwrap().as_f64().unwrap() >= 1.0);
-        let top = summary.get("top_self").unwrap().as_arr().unwrap();
+        let block = Field::root(&parsed).get("trace_summary").unwrap();
+        check_summary(&block).unwrap();
+        assert!(block.get("wall_ns").unwrap().count().unwrap() >= 1);
+        let top = block.get("top_self").unwrap().items().unwrap();
         assert!(!top.is_empty() && top.len() <= 5);
     }
 }
