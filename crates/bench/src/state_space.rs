@@ -120,6 +120,7 @@ fn petri_case(name: &str, dfs: &Dfs, reps: usize, way_rotation: Option<&[u32]>, 
         img.induced_symmetry(perm)
             .expect("way rotation induces a net automorphism")
             .state_symmetry()
+            .clone()
     });
     measure_case(
         name,

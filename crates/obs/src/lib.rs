@@ -4,19 +4,17 @@
 //! (`rap-petri`), the query cache (`rap-session`), the design-space driver
 //! (`rap-dse`) and the persistent artifact store (`rap-store`).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * [`Recorder`] — the trait instrumented code talks to. Every method has a
-//!   guaranteed-free no-op default, so a recorder only overrides what it
-//!   cares about and the disabled path costs nothing (see *Overhead* below).
-//! * [`Collector`] — the standard thread-safe recorder. It aggregates spans
-//!   into a tree keyed by `(parent, name)` (bounded memory even for
-//!   million-level BFS runs), keeps named counters and gauges under a single
-//!   lock (so a [`Collector::snapshot`] is coherent, not torn), fixed
-//!   64-bucket log2 latency histograms, and a bounded provenance event list.
-//! * [`Obs`] — the cheap cloneable handle threaded through APIs. It pairs an
-//!   optional recorder with a parent [`SpanId`], so nested layers attach
-//!   their spans in the right place without global state.
+//! * [`Collector`] — the thread-safe recorder. It aggregates spans into a
+//!   tree keyed by `(parent, name)` (bounded memory even for million-level
+//!   BFS runs), keeps named counters and gauges under a single lock (so a
+//!   [`Collector::snapshot`] is coherent, not torn), fixed 64-bucket log2
+//!   latency histograms, and a bounded provenance event list.
+//! * [`Obs`] — the cheap cloneable handle instrumented code talks to. It
+//!   pairs an optional collector with a parent [`SpanId`], so nested layers
+//!   attach their spans in the right place without global state; without
+//!   a collector every method is free (see *Overhead* below).
 //!
 //! The JSON exporter for `rap/trace/v1` lives in `rap_bench::trace` (it
 //! reuses the workspace's schema-validation JSON parser); this crate only
@@ -24,13 +22,13 @@
 //!
 //! ## Overhead
 //!
-//! `Obs::none()` carries no recorder. Every instrumentation method begins
+//! `Obs::none()` carries no collector. Every instrumentation method begins
 //! with an `#[inline]` check of that `Option` and returns immediately when it
 //! is `None` — no clock read, no allocation, no locking. [`Obs::span`] only
-//! calls `Instant::now` when a recorder is attached. The
-//! `benches/noop_overhead.rs` benchmark pins this, and the bench-suite test
-//! `trace_schema.rs` bounds the end-to-end cost of an untraced handle on a
-//! real sweep.
+//! calls `Instant::now` when a collector is attached. The unit test
+//! `detached_handle_records_nothing_and_is_free_of_clock_reads` pins the
+//! detached behaviour, and the `benches/noop_overhead.rs` benchmark measures
+//! its per-call cost against an attached collector.
 //!
 //! ## Determinism
 //!
@@ -117,63 +115,6 @@ impl SpanId {
     }
 }
 
-/// Sink for spans, counters, gauges, latency observations and provenance
-/// events.
-///
-/// Every method defaults to a no-op so `impl Recorder for MySink {}` is a
-/// valid (if useless) recorder and partial implementations stay cheap.
-/// Instrumented code reaches recorders through [`Obs`], which skips the
-/// virtual call entirely when no recorder is attached.
-pub trait Recorder: Send + Sync {
-    /// Whether this recorder is live. [`Obs`] consults the presence of a
-    /// recorder, not this flag, for its fast path; `enabled` exists so
-    /// custom recorders can advertise being switched off dynamically.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Open (or re-enter) the span `name` under `parent`, returning its id.
-    /// Spans are aggregated: opening the same `(parent, name)` twice yields
-    /// the same id.
-    fn span_open(&self, parent: SpanId, name: &'static str) -> SpanId {
-        let _ = (parent, name);
-        SpanId::ROOT
-    }
-
-    /// Record one completion of `span` that took `nanos` wall-clock.
-    fn span_close(&self, span: SpanId, nanos: u64) {
-        let _ = (span, nanos);
-    }
-
-    /// Add `delta` to the named counter.
-    fn add(&self, counter: &'static str, delta: u64) {
-        let _ = (counter, delta);
-    }
-
-    /// Set the named gauge to `value` (last write wins).
-    fn gauge(&self, gauge: &'static str, value: f64) {
-        let _ = (gauge, value);
-    }
-
-    /// Record one `nanos` observation in the named log2 latency histogram.
-    fn observe(&self, hist: &'static str, nanos: u64) {
-        let _ = (hist, nanos);
-    }
-
-    /// Record a provenance event: `kind` is a taxonomy name, `label` a
-    /// free-form subject (e.g. a DSE config label), `value` a 64-bit payload
-    /// (e.g. a structural hash).
-    fn note(&self, kind: &'static str, label: &str, value: u64) {
-        let _ = (kind, label, value);
-    }
-}
-
-/// The do-nothing recorder; every method is the trait default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Noop;
-
-impl Recorder for Noop {}
-
 // ---------------------------------------------------------------------------
 // Obs handle
 // ---------------------------------------------------------------------------
@@ -181,12 +122,13 @@ impl Recorder for Noop {}
 /// Cheap cloneable handle instrumented code records through.
 ///
 /// An `Obs` is either *detached* ([`Obs::none`], the [`Default`]) or carries
-/// a shared recorder plus the [`SpanId`] new spans should be parented under.
+/// a shared [`Collector`] plus the [`SpanId`] new spans should be parented
+/// under.
 /// All methods are `#[inline]` and return immediately when detached — no
 /// clock reads, no locks, no allocation.
 #[derive(Clone, Default)]
 pub struct Obs {
-    rec: Option<Arc<dyn Recorder>>,
+    rec: Option<Arc<Collector>>,
     parent: SpanId,
 }
 
@@ -209,22 +151,17 @@ impl Obs {
         }
     }
 
-    /// Handle recording into an arbitrary [`Recorder`], parented at the root.
+    /// Handle recording into a shared [`Collector`], parented at the root.
     #[must_use]
-    pub fn attached(rec: Arc<dyn Recorder>) -> Obs {
+    pub fn collecting(collector: &Arc<Collector>) -> Obs {
         Obs {
-            rec: Some(rec),
+            rec: Some(Arc::clone(collector)),
             parent: SpanId::ROOT,
         }
     }
 
-    /// Handle recording into a shared [`Collector`], parented at the root.
-    #[must_use]
-    pub fn collecting(collector: &Arc<Collector>) -> Obs {
-        Obs::attached(collector.clone() as Arc<dyn Recorder>)
-    }
-
-    /// Whether a recorder is attached (the fast-path test every method uses).
+    /// Whether a collector is attached (the fast-path test every method
+    /// uses).
     #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -293,7 +230,7 @@ impl Obs {
 
 /// Guard returned by [`Obs::span`]; records the span's wall-clock on drop.
 pub struct SpanTimer {
-    inner: Option<(Arc<dyn Recorder>, SpanId, Instant)>,
+    inner: Option<(Arc<Collector>, SpanId, Instant)>,
 }
 
 impl SpanTimer {
@@ -357,7 +294,7 @@ struct EventBuf {
     dropped: u64,
 }
 
-/// The standard thread-safe [`Recorder`].
+/// The thread-safe recorder every attached [`Obs`] records into.
 ///
 /// Spans aggregate into a tree keyed by `(parent, name)` — re-entering a
 /// span merges into the existing node, so a million-level BFS produces a
@@ -465,14 +402,11 @@ impl Collector {
             dropped_events: ev.dropped,
         }
     }
-}
 
-impl Recorder for Collector {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn span_open(&self, parent: SpanId, name: &'static str) -> SpanId {
+    /// Open (or re-enter) the span `name` under `parent`, returning its id.
+    /// Spans are aggregated: opening the same `(parent, name)` twice yields
+    /// the same id.
+    pub fn span_open(&self, parent: SpanId, name: &'static str) -> SpanId {
         let mut tree = lock(&self.tree);
         let pid = (parent.0 as usize).min(tree.len().saturating_sub(1));
         if let Some(&child) = tree[pid]
@@ -495,7 +429,8 @@ impl Recorder for Collector {
         SpanId(id)
     }
 
-    fn span_close(&self, span: SpanId, nanos: u64) {
+    /// Record one completion of `span` that took `nanos` wall-clock.
+    pub fn span_close(&self, span: SpanId, nanos: u64) {
         let mut tree = lock(&self.tree);
         if let Some(node) = tree.get_mut(span.0 as usize) {
             node.count += 1;
@@ -503,17 +438,20 @@ impl Recorder for Collector {
         }
     }
 
-    fn add(&self, counter: &'static str, delta: u64) {
+    /// Add `delta` to the named counter.
+    pub fn add(&self, counter: &'static str, delta: u64) {
         let mut c = lock(&self.counters);
         let slot = c.entry(counter).or_insert(0);
         *slot = slot.saturating_add(delta);
     }
 
-    fn gauge(&self, gauge: &'static str, value: f64) {
+    /// Set the named gauge to `value` (last write wins).
+    pub fn gauge(&self, gauge: &'static str, value: f64) {
         lock(&self.gauges).insert(gauge, value);
     }
 
-    fn observe(&self, hist: &'static str, nanos: u64) {
+    /// Record one `nanos` observation in the named log2 latency histogram.
+    pub fn observe(&self, hist: &'static str, nanos: u64) {
         let mut h = lock(&self.hists);
         let entry = h.entry(hist).or_insert_with(|| Hist {
             count: 0,
@@ -526,7 +464,10 @@ impl Recorder for Collector {
         entry.buckets[bucket] += 1;
     }
 
-    fn note(&self, kind: &'static str, label: &str, value: u64) {
+    /// Record a provenance event: `kind` is a taxonomy name, `label` a
+    /// free-form subject (e.g. a DSE config label), `value` a 64-bit payload
+    /// (e.g. a structural hash).
+    pub fn note(&self, kind: &'static str, label: &str, value: u64) {
         let mut ev = lock(&self.events);
         if ev.list.len() >= EVENT_CAP {
             ev.dropped += 1;
@@ -573,7 +514,7 @@ pub struct HistSnapshot {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// One provenance event (see [`Recorder::note`]).
+/// One provenance event (see [`Collector::note`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Taxonomy kind, e.g. `"dse.memo"`.
@@ -762,8 +703,9 @@ impl Meter {
 
     /// Increment `first`, and — under the same lock acquisition, so a
     /// snapshot can never observe one without the other — increment `second`
-    /// when `both`. This is the query/compute pairing the session cache
-    /// uses: `queries ≥ computations` holds in every snapshot.
+    /// when `both`. This is the query/outcome pairing the session cache
+    /// uses (a query with its computation or its disk hit): `queries ≥
+    /// computations + disk hits` holds in every snapshot.
     pub fn bump2(&self, first: &'static str, second: &'static str, both: bool) {
         {
             let mut m = lock(&self.map);

@@ -248,14 +248,13 @@ pub fn quick_check_quotient(
         sym.pairs_closed(pairs),
         "complementary-pair set is not closed under the symmetry; the quotient verdict would be unsound"
     );
-    let ssym = sym.state_symmetry();
     let space = explore(
         net,
         &EngineConfig {
             max_states,
             ..EngineConfig::default()
         },
-        Some(&ssym),
+        Some(sym.state_symmetry()),
     );
     verdicts_over(net, &space, pairs)
 }

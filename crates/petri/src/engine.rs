@@ -9,8 +9,8 @@
 //! (`rap-pool`), a sharded concurrent dedup index ([`shard::ShardIndex`]),
 //! event-driven enabledness, delta-compressed state storage and optional
 //! symmetry reduction ([`StateSymmetry`]). It is configured by one
-//! [`EngineConfig`] — state budget, worker count, anchor interval,
-//! wall-clock deadline and recorder.
+//! [`EngineConfig`] — state budget, worker count, wall-clock deadline and
+//! recorder.
 //!
 //! # Determinism contract
 //!
@@ -48,13 +48,13 @@
 //! A BFS successor differs from its parent in the few places its action
 //! toggled, so [`ExploredGraph`] stores most states as sparse XOR deltas
 //! `(word, mask)` against their parent, with full-snapshot *anchors* every
-//! [`EngineConfig::anchor_interval`] BFS levels. Reconstruction
+//! 8 BFS levels. Reconstruction
 //! ([`ExploredGraph::fill_state`]) XORs the delta chain up the parent links
 //! to the nearest anchor — O(depth-to-anchor), bounded by the interval.
 //! The trade-off: random state access costs a short chain walk instead of
 //! one slice read, in exchange for ~`stride / nnz(delta)`× smaller state
-//! storage on wide states. Narrow states (≤ 2 words) gain nothing, so the
-//! auto setting stores them all-anchor.
+//! storage on wide states. Narrow states (≤ 2 words) gain nothing, so every
+//! one of them is an anchor.
 //!
 //! # Symmetry reduction
 //!
@@ -82,6 +82,11 @@ use shard::{Handle, Probe, ShardIndex};
 
 /// Sentinel parent id of the initial state in [`ExploredGraph::parents`].
 pub const NO_PARENT: u32 = u32::MAX;
+
+/// Full-snapshot anchor every this many BFS levels on states wider than
+/// two words; the states in between are delta-compressed (see the module
+/// docs). States of at most two words are all anchors.
+const ANCHOR_INTERVAL: usize = 8;
 
 /// `anchor_slot` sentinel of a delta-stored state.
 const DELTA: u32 = u32::MAX;
@@ -172,10 +177,6 @@ pub struct EngineConfig {
     /// per core, and engine threads on top would only oversubscribe them.
     /// Results are identical at every thread count.
     pub threads: usize,
-    /// Full-snapshot anchor every this many BFS levels (delta-compress the
-    /// states in between); `0` = auto (all-anchor for states ≤ 2 words,
-    /// every 8 levels otherwise), `1` = store every state in full.
-    pub anchor_interval: usize,
     /// Wall-clock budget; `None` = unbounded (the state cap is then the
     /// only stop). A runaway exploration becomes the ordinary typed
     /// [`ExploreOutcome::Truncated`] outcome instead of running to the cap.
@@ -213,7 +214,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_states: 2_000_000,
             threads: 0,
-            anchor_interval: 0,
             deadline: None,
             obs: Obs::none(),
         }
@@ -228,14 +228,6 @@ impl EngineConfig {
         match self.threads {
             0 if rap_pool::is_pool_worker() => 1,
             0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-            n => n,
-        }
-    }
-
-    fn resolved_anchor_interval(&self, stride: usize) -> usize {
-        match self.anchor_interval {
-            0 if stride <= 2 => 1,
-            0 => 8,
             n => n,
         }
     }
@@ -783,7 +775,7 @@ where
             sys.action_count(),
         )
     };
-    let anchor_every = cfg.resolved_anchor_interval(stride);
+    let anchor_every = if stride <= 2 { 1 } else { ANCHOR_INTERVAL };
     let sym = symmetry.filter(|s| s.order() > 1);
     if let Some(sy) = sym {
         assert!(
@@ -1347,11 +1339,10 @@ mod tests {
         net
     }
 
-    fn cfg(max_states: usize, threads: usize, anchor_interval: usize) -> EngineConfig {
+    fn cfg(max_states: usize, threads: usize) -> EngineConfig {
         EngineConfig {
             max_states,
             threads,
-            anchor_interval,
             ..EngineConfig::default()
         }
     }
@@ -1372,7 +1363,7 @@ mod tests {
     fn incidence_agrees_with_net_enabledness() {
         let net = ring(5);
         let inc = Incidence::from_net(&net);
-        let g = explore_net(&net, &cfg(1_000, 1, 0));
+        let g = explore_net(&net, &cfg(1_000, 1));
         for i in 0..g.len() {
             let words = g.state_vec(i);
             let m = marking_of(&net, &words);
@@ -1386,7 +1377,7 @@ mod tests {
     fn fire_into_matches_net_fire() {
         let net = ring(4);
         let inc = Incidence::from_net(&net);
-        let g = explore_net(&net, &cfg(1_000, 1, 0));
+        let g = explore_net(&net, &cfg(1_000, 1));
         let mut dst = vec![0u64; g.stride()];
         for i in 0..g.len() {
             let words = g.state_vec(i);
@@ -1406,7 +1397,7 @@ mod tests {
         // changes the enabledness of transitions in affected(t)
         let net = ring(6);
         let inc = Incidence::from_net(&net);
-        let g = explore_net(&net, &cfg(1_000, 1, 0));
+        let g = explore_net(&net, &cfg(1_000, 1));
         let mut dst = vec![0u64; g.stride()];
         for i in 0..g.len() {
             let words = g.state_vec(i);
@@ -1452,7 +1443,7 @@ mod tests {
     fn dedup_table_grows_correctly() {
         // a ring large enough to force several shard-table growths
         let net = ring(3000);
-        let g = explore_net(&net, &cfg(10_000, 2, 0));
+        let g = explore_net(&net, &cfg(10_000, 2));
         assert_eq!(g.len(), 3000);
         assert!(!g.is_truncated());
     }
@@ -1461,7 +1452,7 @@ mod tests {
     fn zero_place_net_has_single_state() {
         let mut net = PetriNet::new();
         net.add_transition("noop");
-        let g = explore_net(&net, &cfg(10, 1, 0));
+        let g = explore_net(&net, &cfg(10, 1));
         // `noop` has no arcs: it is enabled and loops on the only state
         assert_eq!(g.len(), 1);
         assert_eq!(g.successors(0), &[(0, 0)]);
@@ -1472,59 +1463,57 @@ mod tests {
     fn truncation_reports_the_limit() {
         let net = ring(10);
         for threads in [1usize, 2] {
-            let g = explore_net(&net, &cfg(4, threads, 0));
+            let g = explore_net(&net, &cfg(4, threads));
             assert_eq!(g.outcome(), ExploreOutcome::Truncated { limit: 4 });
             assert_eq!(g.len(), 4);
         }
     }
 
-    /// Engine ≡ naive reference explorer on a ring, across thread counts,
-    /// anchor settings and budgets — the unit-level version of the
-    /// differential suite: same words, CSR edges and parent traces.
-    #[test]
-    fn engine_matches_naive_exactly() {
-        let net = ring(64);
-        for budget in [usize::MAX, 64, 17, 3, 1] {
-            let naive = crate::reachability::explore_naive(&net, budget);
+    /// Engine ≡ naive reference explorer on `net`, across thread counts
+    /// and budgets — the unit-level version of the differential suite:
+    /// same words, CSR edges and parent traces.
+    fn assert_matches_naive(net: &PetriNet, budgets: &[usize]) {
+        for &budget in budgets {
+            let naive = crate::reachability::explore_naive(net, budget);
             let mut words = vec![0u64; naive.word_count()];
             for threads in [1usize, 2, 4] {
-                for anchors in [0usize, 1, 3] {
-                    let g = explore_net(&net, &cfg(budget, threads, anchors));
-                    let ctx = format!("t={threads} a={anchors} b={budget}");
-                    assert_eq!(g.len(), naive.len(), "{ctx}");
-                    assert_eq!(g.outcome(), naive.outcome(), "{ctx}");
-                    assert_eq!(g.succ_off.len(), g.len() + 1, "{ctx}");
-                    for s in naive.states() {
-                        let i = s.index();
-                        naive.fill_marking_words(s, &mut words);
-                        assert_eq!(g.state_vec(i), words, "{ctx}: state {i}");
-                        let edges: Vec<(u32, u32)> = naive
-                            .successors(s)
-                            .iter()
-                            .map(|&(t, n)| (t.index() as u32, n.index() as u32))
-                            .collect();
-                        assert_eq!(g.successors(i), edges.as_slice(), "{ctx}: edges {i}");
-                        let trace: Vec<u32> =
-                            naive.trace_to(s).iter().map(|t| t.index() as u32).collect();
-                        assert_eq!(g.trace_to(i), trace, "{ctx}: parents {i}");
-                    }
+                let g = explore_net(net, &cfg(budget, threads));
+                let ctx = format!("t={threads} b={budget}");
+                assert_eq!(g.len(), naive.len(), "{ctx}");
+                assert_eq!(g.outcome(), naive.outcome(), "{ctx}");
+                assert_eq!(g.succ_off.len(), g.len() + 1, "{ctx}");
+                for s in naive.states() {
+                    let i = s.index();
+                    naive.fill_marking_words(s, &mut words);
+                    assert_eq!(g.state_vec(i), words, "{ctx}: state {i}");
+                    let edges: Vec<(u32, u32)> = naive
+                        .successors(s)
+                        .iter()
+                        .map(|&(t, n)| (t.index() as u32, n.index() as u32))
+                        .collect();
+                    assert_eq!(g.successors(i), edges.as_slice(), "{ctx}: edges {i}");
+                    let trace: Vec<u32> =
+                        naive.trace_to(s).iter().map(|t| t.index() as u32).collect();
+                    assert_eq!(g.trace_to(i), trace, "{ctx}: parents {i}");
                 }
             }
         }
     }
 
-    /// Delta storage with a forced small anchor interval reconstructs every
-    /// state bit-exactly on a wide-state system (stride > 1).
+    #[test]
+    fn engine_matches_naive_exactly() {
+        assert_matches_naive(&ring(64), &[usize::MAX, 64, 17, 3, 1]);
+    }
+
+    /// Delta storage reconstructs every state bit-exactly on a wide-state
+    /// system (3 words per marking: an anchor every 8 levels, deltas in
+    /// between).
     #[test]
     fn delta_reconstruction_is_exact_on_wide_states() {
-        let net = ring(150); // 3 words per marking
-        let a = explore_net(&net, &cfg(1_000, 1, 1));
-        let b = explore_net(&net, &cfg(1_000, 1, 5));
-        assert_eq!(a.len(), b.len());
-        assert!(b.anchor_count() < b.len(), "deltas were actually used");
-        for i in 0..a.len() {
-            assert_eq!(a.state_vec(i), b.state_vec(i), "state {i}");
-        }
+        let net = ring(150);
+        let g = explore_net(&net, &cfg(1_000, 1));
+        assert!(g.anchor_count() < g.len(), "deltas were actually used");
+        assert_matches_naive(&net, &[1_000, 75]);
     }
 
     /// A ring is rotation-symmetric: the quotient under the full cyclic
@@ -1538,8 +1527,8 @@ mod tests {
         let act_perm = bit_perm.clone();
         let sym = StateSymmetry::new(bit_perm, act_perm).unwrap();
         assert_eq!(sym.order(), n);
-        let full = explore_net(&net, &cfg(1_000, 1, 0));
-        let quo = explore(|| NetSystem::new(&net), &cfg(1_000, 1, 0), Some(&sym));
+        let full = explore_net(&net, &cfg(1_000, 1));
+        let quo = explore(|| NetSystem::new(&net), &cfg(1_000, 1), Some(&sym));
         assert_eq!(full.len(), n);
         assert_eq!(quo.len(), 1);
         // concrete trace reconstruction: the quotient self-loop unrotates to

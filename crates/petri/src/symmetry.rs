@@ -25,7 +25,9 @@ use std::collections::HashMap;
 pub struct Symmetry {
     place_perm: Vec<u32>,
     transition_perm: Vec<u32>,
-    order: usize,
+    /// The same generator as state-bit and action permutations, built (and
+    /// its order bounded) once at construction.
+    state: StateSymmetry,
 }
 
 impl Symmetry {
@@ -34,10 +36,11 @@ impl Symmetry {
     ///
     /// # Errors
     ///
-    /// When `place_perm` is not a permutation of the net's places, or the
+    /// When `place_perm` is not a permutation of the net's places, the
     /// induced map fails to be a net automorphism (some transition's
     /// permuted arc signature matches no transition, or two transitions
-    /// collide on one image).
+    /// collide on one image), or the generator's order is out of
+    /// [`StateSymmetry::new`]'s range.
     pub fn new(net: &PetriNet, place_perm: Vec<u32>) -> Result<Self, String> {
         if place_perm.len() != net.place_count() {
             return Err(format!(
@@ -110,18 +113,18 @@ impl Symmetry {
             transition_perm[t.index()] = img;
         }
 
-        let order = cyclic_order(&place_perm, &transition_perm);
+        let state = StateSymmetry::new(place_perm.clone(), transition_perm.clone())?;
         Ok(Symmetry {
             place_perm,
             transition_perm,
-            order,
+            state,
         })
     }
 
     /// Group order of the generator.
     #[must_use]
     pub fn order(&self) -> usize {
-        self.order
+        self.state.order()
     }
 
     /// Image of a place under the generator.
@@ -138,14 +141,9 @@ impl Symmetry {
 
     /// The engine-level symmetry (marking-bit and transition-bit
     /// permutations) driving quotient exploration.
-    ///
-    /// # Panics
-    ///
-    /// Never — the permutations were validated at construction.
     #[must_use]
-    pub fn state_symmetry(&self) -> StateSymmetry {
-        StateSymmetry::new(self.place_perm.clone(), self.transition_perm.clone())
-            .expect("validated at construction")
+    pub fn state_symmetry(&self) -> &StateSymmetry {
+        &self.state
     }
 
     /// Is `pairs` closed under the generator? (For each `(a, b)` the pair
@@ -162,38 +160,6 @@ impl Symmetry {
             .iter()
             .all(|&(a, b)| set.contains(&norm(self.map_place(a), self.map_place(b))))
     }
-}
-
-fn cyclic_order(place_perm: &[u32], transition_perm: &[u32]) -> usize {
-    fn order_of(perm: &[u32]) -> usize {
-        let mut seen = vec![false; perm.len()];
-        let mut order = 1usize;
-        for start in 0..perm.len() {
-            if seen[start] {
-                continue;
-            }
-            let mut len = 0usize;
-            let mut cur = start;
-            while !seen[cur] {
-                seen[cur] = true;
-                cur = perm[cur] as usize;
-                len += 1;
-            }
-            order = lcm(order, len.max(1));
-        }
-        order
-    }
-    fn lcm(a: usize, b: usize) -> usize {
-        fn gcd(a: usize, b: usize) -> usize {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
-            }
-        }
-        a / gcd(a, b) * b
-    }
-    lcm(order_of(place_perm), order_of(transition_perm))
 }
 
 #[cfg(test)]
@@ -242,6 +208,21 @@ mod tests {
         // a permutation that is not an automorphism (swap two places of a
         // ring: arc structure is not preserved)
         assert!(Symmetry::new(&net, vec![1, 0, 2, 3]).is_err());
+    }
+
+    /// A permutation whose order exceeds the engine's bound is refused at
+    /// construction: 129 isolated places permuted as a 64-cycle plus a
+    /// 65-cycle generate a group of order 64 · 65 = 4160 > 4096.
+    #[test]
+    fn out_of_range_order_is_rejected_at_construction() {
+        let mut net = PetriNet::new();
+        for i in 0..129 {
+            net.add_place(format!("p{i}"), false);
+        }
+        let cycle = |lo: u32, len: u32| (0..len).map(move |i| lo + (i + 1) % len);
+        let perm: Vec<u32> = cycle(0, 64).chain(cycle(64, 65)).collect();
+        let err = Symmetry::new(&net, perm).unwrap_err();
+        assert!(err.contains("4160"), "{err}");
     }
 
     #[test]

@@ -191,8 +191,7 @@ pub struct Session {
     /// compiles/hits/models triple is always mutually consistent.
     meter: Meter,
     /// The recorder handle every compiled model (and the store, when the
-    /// session is built via [`Session::open_traced`] /
-    /// [`Session::with_store_and_recorder`]) records into. Detached by
+    /// session is built via [`Session::open_traced`]) records into. Detached by
     /// default; recording is observation-only and never changes a result.
     obs: Obs,
     /// Persistent artifact store; `None` = memory-only session.
@@ -261,33 +260,25 @@ impl Session {
         }
     }
 
-    /// [`Session::with_store`] + [`Session::with_recorder`]: a persistent
-    /// session whose store also records read/write latency histograms and
-    /// quarantine events into the same recorder.
-    #[must_use]
-    pub fn with_store_and_recorder(mut store: Store, obs: Obs) -> Self {
-        store.set_recorder(obs.clone());
-        Session {
-            meter: Meter::with_obs(obs.clone()),
-            obs,
-            store: Some(Arc::new(store)),
-            ..Session::default()
-        }
-    }
-
     /// [`Session::open`] with a recorder attached to both the session and
-    /// its store — shorthand for [`Store::open`] +
-    /// [`Session::with_store_and_recorder`].
+    /// its store: a persistent session whose store also records
+    /// read/write latency histograms and quarantine events into `obs`.
     ///
     /// # Errors
     ///
     /// See [`Session::open`].
     pub fn open_traced(dir: impl AsRef<Path>, obs: Obs) -> Result<Self, StoreError> {
-        Ok(Session::with_store_and_recorder(Store::open(dir)?, obs))
+        let mut store = Store::open(dir)?;
+        store.set_recorder(obs.clone());
+        Ok(Session {
+            store: Some(Arc::new(store)),
+            ..Session::with_recorder(obs)
+        })
     }
 
     /// The recorder handle this session records into (detached unless the
-    /// session was built with one of the `*_recorder` constructors).
+    /// session was built with [`Session::with_recorder`] or
+    /// [`Session::open_traced`]).
     #[must_use]
     pub fn recorder(&self) -> &Obs {
         &self.obs
@@ -300,18 +291,11 @@ impl Session {
     /// # Errors
     ///
     /// [`StoreError::Locked`] when a live process holds the directory,
-    /// [`StoreError::Io`] when it cannot be prepared. Callers that prefer
-    /// degradation over failure use [`Session::open_or_memory`].
+    /// [`StoreError::Io`] when it cannot be prepared. A caller that
+    /// prefers degradation over failure falls back to [`Session::new`]: it
+    /// keeps every answer and only loses persistence.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Ok(Session::with_store(Store::open(dir)?))
-    }
-
-    /// [`Session::open`], degrading to a memory-only session when the
-    /// store cannot be opened (locked directory, read-only filesystem…) —
-    /// the caller keeps every answer, and only loses persistence.
-    #[must_use]
-    pub fn open_or_memory(dir: impl AsRef<Path>) -> Self {
-        Session::open(dir).unwrap_or_else(|_| Session::new())
     }
 
     /// The persistent store backing this session, if any.

@@ -1,7 +1,10 @@
 //! [`CompiledModel`]: one interned DFS model with demand-computed, memoized
 //! derived artifacts.
 
-use crate::persist::Persist;
+use crate::persist::{
+    decode_check, decode_cost, decode_perf, decode_steady, encode_check, encode_cost, encode_perf,
+    encode_steady, steady_subkey, Persist,
+};
 use crate::Error;
 use dfs_core::perf::{analyse_with_activity, PerfDetail, PerfReport};
 use dfs_core::timed::{measure_steady_period, ChoicePolicy, SteadyStatePeriod};
@@ -10,6 +13,7 @@ use rap_obs::{CounterSnapshot, Meter, Obs};
 use rap_petri::analysis::QuickCheck;
 use rap_petri::engine::{EngineConfig, ExploreOutcome};
 use rap_silicon::cost::CostModel;
+use rap_store::QueryKind;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -37,15 +41,34 @@ fn engine_config(max_states: usize, obs: &Obs) -> EngineConfig {
     }
 }
 
-/// Runs `f` through `slot` exactly once; the returned flag is `true` iff
-/// *this* call performed the computation (it won the reservation).
-fn traced_once<T>(slot: &OnceLock<T>, f: impl FnOnce() -> T) -> (&T, bool) {
-    let mut ran = false;
-    let v = slot.get_or_init(|| {
-        ran = true;
-        f()
-    });
-    (v, ran)
+/// The trace names of one query kind: its `session.query.<kind>` span and
+/// its `session.<kind>.query` / `.compute` / `.disk_hit` counters.
+struct Kind {
+    span: &'static str,
+    query: &'static str,
+    compute: &'static str,
+    disk_hit: &'static str,
+}
+
+macro_rules! kind {
+    ($name:literal) => {
+        Kind {
+            span: concat!("session.query.", $name),
+            query: concat!("session.", $name, ".query"),
+            compute: concat!("session.", $name, ".compute"),
+            disk_hit: concat!("session.", $name, ".disk_hit"),
+        }
+    };
+}
+
+/// Where a persisted query's artifact lives in the store, and its payload
+/// codec over the cached value: `encode` answers `None` for a value that
+/// is never committed (a cached error).
+struct Stored<'a, T> {
+    kind: QueryKind,
+    subkey: u64,
+    decode: &'a dyn Fn(&[u8]) -> Option<T>,
+    encode: &'a dyn Fn(&T) -> Option<Vec<u8>>,
 }
 
 /// Per-query-kind counters of one [`CompiledModel`] (also the aggregate
@@ -274,23 +297,62 @@ impl CompiledModel {
     }
 
     /// The recorder handle this model records into (detached unless the
-    /// owning session was built with `Session::with_recorder`).
+    /// owning session was built with `Session::with_recorder` or
+    /// `Session::open_traced`).
     #[must_use]
     pub fn recorder(&self) -> &Obs {
         &self.obs
     }
 
+    /// The one query lifecycle every query runs through: inside a
+    /// `session.query.<kind>` span, reserve `slot`; the caller that wins the
+    /// reservation first tries the store (`session.load`, persisted kinds
+    /// of a persistent session only), else runs `compute` (under
+    /// `session.compute`) and commits a storable result (`session.commit`).
+    /// The kind's counters are bumped under one meter lock. The flag is
+    /// `true` iff *this* call ran `compute`.
+    fn query<'s, T>(
+        &self,
+        kind: Kind,
+        slot: &'s OnceLock<T>,
+        stored: Option<Stored<'_, T>>,
+        compute: impl FnOnce(&Obs) -> T,
+    ) -> (&'s T, bool) {
+        let span = self.obs.span(kind.span);
+        let qobs = span.obs();
+        let (mut computed, mut disk_hit) = (false, false);
+        let value = slot.get_or_init(|| {
+            let store = self.persist.as_ref().zip(stored);
+            if let Some((p, s)) = &store {
+                let loaded = qobs.time("session.load", |_| p.load(s.kind, s.subkey, s.decode));
+                if let Some(v) = loaded {
+                    disk_hit = true;
+                    return v;
+                }
+            }
+            computed = true;
+            let v = qobs.time("session.compute", compute);
+            if let Some((p, s)) = &store {
+                if let Some(payload) = (s.encode)(&v) {
+                    qobs.time("session.commit", |_| p.save(s.kind, s.subkey, &payload));
+                }
+            }
+            v
+        });
+        let outcome = if disk_hit {
+            kind.disk_hit
+        } else {
+            kind.compute
+        };
+        self.meter.bump2(kind.query, outcome, computed || disk_hit);
+        (value, computed)
+    }
+
     /// The Petri-net image (Fig. 3 translation) — computed once, equal to
     /// [`to_petri()`]`(self.dfs())`.
     pub fn petri(&self) -> &PetriImage {
-        let span = self.obs.span("session.query.petri");
-        let qobs = span.obs();
-        let (img, ran) = traced_once(&self.petri, || {
-            qobs.time("session.compute", |_| to_petri(&self.dfs))
-        });
-        self.meter
-            .bump2("session.petri.query", "session.petri.compute", ran);
-        img
+        self.query(kind!("petri"), &self.petri, None, |_| to_petri(&self.dfs))
+            .0
     }
 
     /// The exact throughput analysis with per-node activity — computed
@@ -314,31 +376,15 @@ impl CompiledModel {
     /// Sweep drivers use this for exact work accounting; a restart-warm
     /// sweep over an intact store reports `false` throughout.
     pub fn perf_detail_traced(&self) -> (Result<&PerfDetail, Error>, bool) {
-        let span = self.obs.span("session.query.perf");
-        let qobs = span.obs();
-        let mut analysed = false;
-        let mut disk_hit = false;
-        let (res, _filled) = traced_once(&self.perf, || {
-            if let Some(p) = &self.persist {
-                if let Some(detail) = qobs.time("session.load", |_| p.load_perf()) {
-                    disk_hit = true;
-                    return Ok(detail);
-                }
-            }
-            analysed = true;
-            let r = qobs.time("session.compute", |_| {
-                analyse_with_activity(&self.dfs).map_err(Error::from)
-            });
-            if let (Some(p), Ok(detail)) = (&self.persist, &r) {
-                qobs.time("session.commit", |_| p.save_perf(detail));
-            }
-            r
+        let stored = Stored {
+            kind: QueryKind::Perf,
+            subkey: 0,
+            decode: &|b| decode_perf(b).map(Ok),
+            encode: &|r: &Result<_, _>| r.as_ref().ok().map(encode_perf),
+        };
+        let (res, analysed) = self.query(kind!("perf"), &self.perf, Some(stored), |_| {
+            analyse_with_activity(&self.dfs).map_err(Error::from)
         });
-        self.meter
-            .bump2("session.perf.query", "session.perf.compute", analysed);
-        if disk_hit {
-            self.meter.add("session.perf.disk_hit", 1);
-        }
         (res.as_ref().map_err(Clone::clone), analysed)
     }
 
@@ -370,22 +416,16 @@ impl CompiledModel {
     /// The cached [`DfsError::StateBudgetExceeded`](dfs_core::DfsError)
     /// when the state space exceeds `budget`.
     pub fn lts(&self, budget: usize) -> Result<Arc<Lts>, Error> {
-        let span = self.obs.span("session.query.lts");
-        let qobs = span.obs();
         let slot = keyed_slot(&self.lts, budget);
-        let (res, ran) = traced_once(&slot, || {
-            qobs.time("session.compute", |o| {
-                let lts = Lts::explore(&self.dfs, &engine_config(budget, o), None);
-                match lts.outcome() {
-                    ExploreOutcome::Complete => Ok(Arc::new(lts)),
-                    ExploreOutcome::Truncated { limit } => {
-                        Err(DfsError::StateBudgetExceeded { budget: limit }.into())
-                    }
+        let (res, _) = self.query(kind!("lts"), &slot, None, |o| {
+            let lts = Lts::explore(&self.dfs, &engine_config(budget, o), None);
+            match lts.outcome() {
+                ExploreOutcome::Complete => Ok(Arc::new(lts)),
+                ExploreOutcome::Truncated { limit } => {
+                    Err(DfsError::StateBudgetExceeded { budget: limit }.into())
                 }
-            })
+            }
         });
-        self.meter
-            .bump2("session.lts.query", "session.lts.compute", ran);
         res.clone()
     }
 
@@ -394,42 +434,25 @@ impl CompiledModel {
     /// [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
     /// &img.complementary_pairs(), &cfg)` with `cfg.max_states = budget`.
     /// Demands [`petri`](Self::petri), so the translation is still
-    /// performed at most once per model.
+    /// performed at most once per model; a disk hit skips the whole
+    /// pipeline, the translation included.
     #[must_use]
     pub fn quick_check(&self, budget: usize) -> Arc<QuickCheck> {
-        let span = self.obs.span("session.query.check");
-        let qobs = span.obs();
         let slot = keyed_slot(&self.checks, budget);
-        let mut ran = false;
-        let mut disk_hit = false;
-        let (check, _filled) = traced_once(&slot, || {
-            if let Some(p) = &self.persist {
-                if let Some(check) = qobs.time("session.load", |_| p.load_check(budget)) {
-                    // a disk hit skips the whole pipeline, including the
-                    // Petri translation the in-memory path would demand
-                    disk_hit = true;
-                    return Arc::new(check);
-                }
-            }
-            ran = true;
+        let stored = Stored {
+            kind: QueryKind::Check,
+            subkey: budget as u64,
+            decode: &|b| decode_check(b).map(Arc::new),
+            encode: &|c: &Arc<QuickCheck>| Some(encode_check(c)),
+        };
+        let (check, _) = self.query(kind!("check"), &slot, Some(stored), |o| {
             let img = self.petri();
-            let check = qobs.time("session.compute", |o| {
-                rap_petri::analysis::quick_check(
-                    &img.net,
-                    &img.complementary_pairs(),
-                    &engine_config(budget, o),
-                )
-            });
-            if let Some(p) = &self.persist {
-                qobs.time("session.commit", |_| p.save_check(budget, &check));
-            }
-            Arc::new(check)
+            Arc::new(rap_petri::analysis::quick_check(
+                &img.net,
+                &img.complementary_pairs(),
+                &engine_config(budget, o),
+            ))
         });
-        self.meter
-            .bump2("session.check.query", "session.check.compute", ran);
-        if disk_hit {
-            self.meter.add("session.check.disk_hit", 1);
-        }
         Arc::clone(check)
     }
 
@@ -442,36 +465,22 @@ impl CompiledModel {
     ///
     /// Propagates the cached error of the throughput analysis.
     pub fn cost(&self, cost: &CostModel) -> Result<CostSummary, Error> {
-        let span = self.obs.span("session.query.cost");
-        let qobs = span.obs();
         let cache_key = cost.cache_key();
         let slot = keyed_slot(&self.costs, cache_key);
-        let mut ran = false;
-        let mut disk_hit = false;
-        let (res, _filled) = traced_once(&slot, || {
-            if let Some(p) = &self.persist {
-                if let Some(summary) = qobs.time("session.load", |_| p.load_cost(cache_key)) {
-                    disk_hit = true;
-                    return Ok(summary);
-                }
-            }
-            ran = true;
+        let stored = Stored {
+            kind: QueryKind::Cost,
+            subkey: cache_key,
+            decode: &|b| decode_cost(b).map(Ok),
+            encode: &|r: &Result<_, _>| r.as_ref().ok().map(encode_cost),
+        };
+        let (res, _) = self.query(kind!("cost"), &slot, Some(stored), |_| {
             let detail = self.perf_detail()?;
-            let summary = qobs.time("session.compute", |_| CostSummary {
+            Ok(CostSummary {
                 area: cost.area(&self.dfs),
                 switched_ge_per_item: cost
                     .switched_ge_per_item(&self.dfs, &detail.activity_per_item),
-            });
-            if let Some(p) = &self.persist {
-                qobs.time("session.commit", |_| p.save_cost(cache_key, &summary));
-            }
-            Ok(summary)
+            })
         });
-        self.meter
-            .bump2("session.cost.query", "session.cost.compute", ran);
-        if disk_hit {
-            self.meter.add("session.cost.disk_hit", 1);
-        }
         res.clone()
     }
 
@@ -492,33 +501,21 @@ impl CompiledModel {
         output: NodeId,
         max_marks: u64,
     ) -> Result<SteadyStatePeriod, Error> {
-        let span = self.obs.span("session.query.steady");
-        let qobs = span.obs();
         let slot = keyed_slot(&self.steady, (output, max_marks));
-        let mut ran = false;
-        let mut disk_hit = false;
-        let (res, _filled) = traced_once(&slot, || {
-            if let Some(p) = &self.persist {
-                if let Some(sp) = qobs.time("session.load", |_| p.load_steady(output, max_marks)) {
-                    disk_hit = true;
-                    return Ok(sp);
-                }
-            }
-            ran = true;
-            let r = qobs.time("session.compute", |_| {
-                measure_steady_period(&self.dfs, output, max_marks, ChoicePolicy::AlwaysTrue)
-                    .map_err(Error::from)
-            });
-            if let (Some(p), Ok(sp)) = (&self.persist, &r) {
-                qobs.time("session.commit", |_| p.save_steady(output, max_marks, sp));
-            }
-            r
+        let stored = Stored {
+            kind: QueryKind::Steady,
+            subkey: steady_subkey(output, max_marks),
+            decode: &|b| decode_steady(b, output, max_marks).map(Ok),
+            encode: &|r: &Result<_, _>| {
+                r.as_ref()
+                    .ok()
+                    .map(|sp| encode_steady(output, max_marks, sp))
+            },
+        };
+        let (res, _) = self.query(kind!("steady"), &slot, Some(stored), |_| {
+            measure_steady_period(&self.dfs, output, max_marks, ChoicePolicy::AlwaysTrue)
+                .map_err(Error::from)
         });
-        self.meter
-            .bump2("session.steady.query", "session.steady.compute", ran);
-        if disk_hit {
-            self.meter.add("session.steady.disk_hit", 1);
-        }
         res.clone()
     }
 }

@@ -50,60 +50,27 @@ impl Persist {
         }
     }
 
-    /// Loads + decodes, quarantining a frame whose checksum verified but
-    /// whose payload fails schema decoding (equally corrupt to a caller).
-    fn load_with<T>(&self, key: &ArtifactKey, decode: impl Fn(&[u8]) -> Option<T>) -> Option<T> {
-        let payload = self.store.load(key)?;
-        match decode(&payload) {
-            Some(v) => Some(v),
-            None => {
-                self.store.quarantine(key);
-                None
-            }
+    /// Loads and decodes the artifact at `(kind, subkey)`, quarantining a
+    /// frame whose checksum verified but whose payload fails `decode`
+    /// (equally corrupt to a caller).
+    pub fn load<T>(
+        &self,
+        kind: QueryKind,
+        subkey: u64,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let key = self.key(kind, subkey);
+        let payload = self.store.load(&key)?;
+        let value = decode(&payload);
+        if value.is_none() {
+            self.store.quarantine(&key);
         }
+        value
     }
 
-    pub fn load_perf(&self) -> Option<PerfDetail> {
-        self.load_with(&self.key(QueryKind::Perf, 0), decode_perf)
-    }
-
-    pub fn save_perf(&self, detail: &PerfDetail) {
-        self.store
-            .save(&self.key(QueryKind::Perf, 0), &encode_perf(detail));
-    }
-
-    pub fn load_check(&self, budget: usize) -> Option<QuickCheck> {
-        self.load_with(&self.key(QueryKind::Check, budget as u64), decode_check)
-    }
-
-    pub fn save_check(&self, budget: usize, check: &QuickCheck) {
-        self.store.save(
-            &self.key(QueryKind::Check, budget as u64),
-            &encode_check(check),
-        );
-    }
-
-    pub fn load_cost(&self, cache_key: u64) -> Option<CostSummary> {
-        self.load_with(&self.key(QueryKind::Cost, cache_key), decode_cost)
-    }
-
-    pub fn save_cost(&self, cache_key: u64, summary: &CostSummary) {
-        self.store
-            .save(&self.key(QueryKind::Cost, cache_key), &encode_cost(summary));
-    }
-
-    pub fn load_steady(&self, output: NodeId, max_marks: u64) -> Option<SteadyStatePeriod> {
-        self.load_with(
-            &self.key(QueryKind::Steady, steady_subkey(output, max_marks)),
-            |b| decode_steady(b, output, max_marks),
-        )
-    }
-
-    pub fn save_steady(&self, output: NodeId, max_marks: u64, sp: &SteadyStatePeriod) {
-        self.store.save(
-            &self.key(QueryKind::Steady, steady_subkey(output, max_marks)),
-            &encode_steady(output, max_marks, sp),
-        );
+    /// Commits `payload` as the artifact at `(kind, subkey)`.
+    pub fn save(&self, kind: QueryKind, subkey: u64, payload: &[u8]) {
+        self.store.save(&self.key(kind, subkey), payload);
     }
 }
 
@@ -222,11 +189,13 @@ fn encode_marking(w: &mut Writer, m: &Marking) {
     }
 }
 
-fn decode_marking(r: &mut Reader<'_>) -> Option<Marking> {
+/// Decodes a marking from a payload of `payload_len` bytes in all.
+fn decode_marking(r: &mut Reader<'_>, payload_len: usize) -> Option<Marking> {
     let len = usize::try_from(r.u64()?).ok()?;
-    // refuse absurd lengths before allocating (a corrupt length would
-    // otherwise ask for gigabytes)
-    if len > u32::MAX as usize {
+    // a length whose bit bytes cannot fit in the payload is corrupt: refuse
+    // it before allocating (a forged length would otherwise ask for
+    // hundreds of megabytes)
+    if len.div_ceil(8) > payload_len || len > u32::MAX as usize {
         return None;
     }
     let mut m = Marking::empty(len);
@@ -284,7 +253,7 @@ pub(crate) fn decode_check(bytes: &[u8]) -> Option<QuickCheck> {
         0 => None,
         1 => {
             let state = StateId::from_index(usize::try_from(r.u64()?).ok()?);
-            let marking = decode_marking(&mut r)?;
+            let marking = decode_marking(&mut r, bytes.len())?;
             let n = usize::try_from(r.u64()?).ok()?;
             let mut trace = Vec::with_capacity(n.min(bytes.len()));
             for _ in 0..n {
@@ -574,6 +543,116 @@ mod tests {
             prop_assert!(decode_steady(&bytes, output, marks ^ 1).is_none());
             prop_assert!(decode_steady(&bytes, node_id(node as usize + 1), marks).is_none());
         }
+    }
+
+    /// A checksum-valid frame claiming a deadlock marking of `u32::MAX`
+    /// places is refused before the marking is allocated.
+    #[test]
+    fn forged_marking_length_decodes_to_none() {
+        let mut w = Writer::new();
+        w.u64(1); // states
+        w.u8(0); // not truncated
+        w.u8(1); // deadlock-freedom violated
+        w.u8(1); // with a counterexample
+        w.u64(0); // at state 0
+        w.u64(u64::from(u32::MAX)); // whose marking claims 2^32 - 1 places
+        w.u8(0xff);
+        assert!(decode_check(&w.into_bytes()).is_none());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The store format, pinned: fixed artifacts of the four persisted
+    /// kinds encode to these payloads (and the steady query folds its
+    /// parameters to this subkey), so a store written by an earlier build
+    /// keeps serving a later one. Each fixture also decodes back to its
+    /// artifact.
+    #[test]
+    fn codecs_match_golden_bytes() {
+        let perf = PerfDetail {
+            report: PerfReport {
+                period: 12.5,
+                throughput: 0.08,
+                critical: CriticalCycle {
+                    nodes: vec!["a".into(), "f".into(), "ρ".into()],
+                    delay: 12.5,
+                    tokens: 1,
+                    bottleneck: "f".into(),
+                },
+                construction: Construction::PhaseUnfolded { phases: 3 },
+            },
+            activity_per_item: vec![1.0, 0.5, -0.0],
+        };
+        let perf_hex = "00000000000029407b14ae47e17ab43f03000000000000000100000000000000\
+                        610100000000000000660200000000000000cf81000000000000294001000000\
+                        01000000000000006601030000000300000000000000000000000000f03f0000\
+                        00000000e03f0000000000000080";
+        assert_eq!(hex(&encode_perf(&perf)), perf_hex);
+        assert!(perf_bits_equal(
+            &decode_perf(&encode_perf(&perf)).unwrap(),
+            &perf
+        ));
+
+        let mut marking = Marking::empty(11);
+        for p in [0, 3, 10] {
+            marking.set(PlaceId::from_index(p), true);
+        }
+        let violated = QuickCheck {
+            states: 1234,
+            truncated: true,
+            deadlock_free: QuickVerdict::Violated,
+            deadlock: Some(Deadlock {
+                state: StateId::from_index(7),
+                marking,
+                trace: [2, 0, 5].map(TransitionId::from_index).to_vec(),
+            }),
+            safe: QuickVerdict::Inconclusive { budget: 20_000 },
+            unsafe_witness: Some((StateId::from_index(9), 4)),
+        };
+        let clean = QuickCheck {
+            states: 40,
+            truncated: false,
+            deadlock_free: QuickVerdict::Holds,
+            deadlock: None,
+            safe: QuickVerdict::Holds,
+            unsafe_witness: None,
+        };
+        let violated_hex = "d20400000000000001010107000000000000000b000000000000000904030000\
+                            000000000002000000000000000500000002204e000000000000010900000000\
+                            0000000400000000000000";
+        for (check, fixture) in [
+            (violated, violated_hex),
+            (clean, "28000000000000000000000000"),
+        ] {
+            assert_eq!(hex(&encode_check(&check)), fixture);
+            assert_eq!(decode_check(&encode_check(&check)), Some(check));
+        }
+
+        let cost = CostSummary {
+            area: 1520.25,
+            switched_ge_per_item: 310.5,
+        };
+        assert_eq!(hex(&encode_cost(&cost)), "0000000000c197400000000000687340");
+        assert_eq!(decode_cost(&encode_cost(&cost)), Some(cost));
+
+        let steady = SteadyStatePeriod {
+            period: 10.0,
+            cycle_marks: 4,
+            transient_marks: 2,
+        };
+        let out = node_id(3);
+        assert_eq!(
+            hex(&encode_steady(out, 64, &steady)),
+            "03000000000000004000000000000000000000000000244004000000000000000200000000000000"
+        );
+        let back = decode_steady(&encode_steady(out, 64, &steady), out, 64).unwrap();
+        assert_eq!(
+            (back.period, back.cycle_marks, back.transient_marks),
+            (10.0, 4, 2)
+        );
+        assert_eq!(steady_subkey(out, 64), 0x56a4_c873_20da_3ad2);
     }
 
     /// Builds a NodeId from a raw index for the tests.

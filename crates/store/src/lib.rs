@@ -323,8 +323,8 @@ impl Store {
     /// quarantined frame emits a `store.quarantine` event naming the file.
     ///
     /// Must be called before the store is shared (it takes `&mut self`);
-    /// [`Store::open`] + `set_recorder` + `Session::with_store_and_recorder`
-    /// is the usual sequence, or go through `Session::open_traced`.
+    /// `Session::open_traced` does exactly that: [`Store::open`], then
+    /// `set_recorder`, then the session over the store.
     pub fn set_recorder(&mut self, obs: Obs) {
         self.meter.set_obs(obs);
     }

@@ -9,8 +9,10 @@
 //! random Petri nets and the paper's pipeline generators), at
 //! threads ∈ {1, 2, 8} plus whatever `RAP_TEST_THREADS` asks for, including
 //! under tiny truncation budgets, budgets that cut a level in its first or
-//! a later wave, and with forced delta-compression (`anchor_interval` = 3). `engine_equivalence.rs` covers the default
-//! configuration; this suite sweeps the engine's own knobs.
+//! a later wave, and on nets padded with isolated places past two state
+//! words, which the engine stores delta-compressed. `engine_equivalence.rs`
+//! covers the default configuration; this suite sweeps the engine's own
+//! knobs.
 //!
 //! Every engine run here executes **with a live [`rap::obs::Collector`]
 //! attached** — the suite therefore simultaneously pins the tracing
@@ -110,47 +112,52 @@ fn assert_spaces_identical(a: &StateSpace, b: &StateSpace, ctx: &str) -> Result<
 }
 
 /// The engine configurations under test for one budget: every thread
-/// count × anchor interval {auto, 3}, each recording into a fresh live
-/// collector (returned alongside for the liveness check).
+/// count, each recording into a fresh live collector (returned alongside
+/// for the liveness check).
 fn traced_configs(max_states: usize) -> Vec<(String, EngineConfig, Arc<Collector>)> {
-    let mut out = Vec::new();
-    for threads in thread_counts() {
-        // anchor_interval 3 forces delta-compressed storage into the
-        // comparison as well
-        for anchor_interval in [0usize, 3] {
+    thread_counts()
+        .into_iter()
+        .map(|threads| {
             let collector = Arc::new(Collector::new());
             let cfg = EngineConfig {
                 max_states,
                 threads,
-                anchor_interval,
                 obs: Obs::collecting(&collector),
                 ..EngineConfig::default()
             };
-            out.push((
-                format!("threads={threads} anchors={anchor_interval}"),
-                cfg,
-                collector,
-            ));
-        }
+            (format!("threads={threads}"), cfg, collector)
+        })
+        .collect()
+}
+
+/// `net` plus 129 isolated, unmarked places: the same behaviour over states
+/// wider than two words, which the engine stores as deltas between anchors.
+fn padded(net: &PetriNet) -> PetriNet {
+    let mut wide = net.clone();
+    for i in 0..129 {
+        wide.add_place(format!("pad{i}"), false);
     }
-    out
+    wide
 }
 
 /// The traced engine in every configuration ≡ the naive oracle, for one
-/// net and budget: equivalence holding here is also the proof that
-/// recording is observation-only.
+/// net — as given and padded into delta storage — and budget: equivalence
+/// holding here is also the proof that recording is observation-only.
 fn assert_parallel_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCaseError> {
-    let naive = explore_naive(net, max_states);
-    for (ctx, cfg, collector) in traced_configs(max_states) {
-        let par = explore(net, &cfg, None);
-        assert_spaces_identical(&par, &naive, &ctx)?;
-        // the collector really was live: the engine flushed its counters
-        prop_assert_eq!(
-            collector.snapshot().counters.get("engine.states"),
-            par.len() as u64,
-            "{}: collector missed the run",
-            &ctx
-        );
+    for (width, net) in [("narrow", net.clone()), ("padded", padded(net))] {
+        let naive = explore_naive(&net, max_states);
+        for (ctx, cfg, collector) in traced_configs(max_states) {
+            let ctx = format!("{width} {ctx}");
+            let par = explore(&net, &cfg, None);
+            assert_spaces_identical(&par, &naive, &ctx)?;
+            // the collector really was live: the engine flushed its counters
+            prop_assert_eq!(
+                collector.snapshot().counters.get("engine.states"),
+                par.len() as u64,
+                "{}: collector missed the run",
+                &ctx
+            );
+        }
     }
     Ok(())
 }
@@ -196,7 +203,8 @@ proptest! {
         }
     }
 
-    /// Random paper pipelines, both backends, with forced delta anchors.
+    /// Random paper pipelines, both backends, the Petri side also padded
+    /// into delta storage.
     #[test]
     fn random_pipelines_parallel_equals_naive(dfs in arb_pipeline()) {
         let img = to_petri(&dfs);

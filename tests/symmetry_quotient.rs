@@ -129,7 +129,7 @@ fn wagged3_quotient_explores_only_canonical_representatives() {
             threads: 2,
             ..EngineConfig::default()
         },
-        Some(&ssym),
+        Some(ssym),
     );
     let words = space.word_count();
     let mut raw = vec![0u64; words];
