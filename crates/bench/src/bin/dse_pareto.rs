@@ -58,6 +58,11 @@ fn main() {
         stats.pruned,
     );
     println!(
+        "verification: {} screens served by {} engine runs (sizing twins \
+         share one Petri net)",
+        stats.full_evaluations, run.check_runs,
+    );
+    println!(
         "warm re-sweep against the same session: {} ms, {} full evaluations \
          ({} served from the artifact cache) — fronts bit-identical",
         num(run.warm_elapsed_ms, 0),

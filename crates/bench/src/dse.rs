@@ -98,6 +98,10 @@ pub struct SweepRun {
     pub outcome: DseOutcome,
     /// Wall-clock of the cold pass (ms).
     pub elapsed_ms: f64,
+    /// Verification engine runs of the cold pass (the session's
+    /// `check_runs`): delay-only twins share one run per screen budget,
+    /// and a disk-served screen needs none.
+    pub check_runs: u64,
     /// Wall-clock of the warm pass (ms).
     pub warm_elapsed_ms: f64,
     /// Counters of the warm pass (full evaluations ≈ 0: every structure
@@ -176,6 +180,7 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
         explore_traced(&space, &cost, &cfg, &session, &pass.obs())
     };
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let check_runs = session.stats().queries.check_runs;
     // warm pass: the identical space against the populated session — the
     // cross-sweep artifact cache serves every structure, so the fronts
     // must be identical and (almost) no full evaluation happens
@@ -251,6 +256,7 @@ pub fn run_sweep(quick: bool, cache: Option<&std::path::Path>, obs: &Obs) -> Swe
     SweepRun {
         outcome,
         elapsed_ms,
+        check_runs,
         warm_elapsed_ms,
         warm_stats: warm.stats,
         restart_elapsed_ms,
@@ -715,6 +721,7 @@ mod tests {
                 },
             },
             elapsed_ms: 812.345_6,
+            check_runs: 4,
             warm_elapsed_ms: 3.0,
             warm_stats: rap_dse::SweepStats {
                 enumerated: 48,

@@ -6,13 +6,21 @@
 //!   work-stealing pool ([`rap_pool::StealQueues`]: a worker pops its own
 //!   deque from the front and, when empty, steals from the back of the
 //!   others). Phase 1 builds and compiles every configuration. Phase 2
-//!   deals one task per distinct [`CompiledModel`], which runs that
-//!   model's configurations in enumeration order. Twins — configurations
-//!   that build the same model — therefore never run on two workers at
-//!   once, so no worker blocks on another's in-flight analysis, and
-//!   stealing balances the big wagged structures. Each worker runs
-//!   one structure at a time on one core: the state-space engine inside a
-//!   pool worker runs single-threaded (see `EngineConfig::threads`).
+//!   deals one task per untimed structure — the configurations whose
+//!   models differ at most in delays, grouped by
+//!   [`CompiledModel::untimed_digest`] — which runs those configurations
+//!   in enumeration order. Twins — configurations that build the same
+//!   model, or delay-only twins, which share one Petri image and its
+//!   screen engine runs in the session — therefore never run on two
+//!   workers at once, so no worker blocks on another's in-flight analysis
+//!   or engine run, and stealing balances the big wagged structures. A
+//!   reconfigurable candidate's operating depths join one task too, run
+//!   shallow to deep, so the depth-monotonicity pruning bound (below)
+//!   sees every shallower exact period whatever the schedule. The digest
+//!   is only a scheduling key: a collision merges two tasks, never two
+//!   answers. Each worker runs one task at a time on one core: the
+//!   state-space engine inside a pool worker runs single-threaded (see
+//!   `EngineConfig::threads`).
 //! * **Sharded collection** — each worker appends to its own result
 //!   vector; vectors are concatenated after the pool joins, then sorted
 //!   canonically, so the output is deterministic regardless of schedule.
@@ -23,8 +31,12 @@
 //!   cannot reconfigure — build identical models, share one
 //!   [`CompiledModel`] and so land in one phase-2 task: the first of them
 //!   that is not pruned pays for the analyses, and the rest are served
-//!   from the model's caches. Each distinct structure is thus fully
-//!   evaluated at most once per sweep, at every thread count. (The exact
+//!   from the model's caches. Configurations that differ only in
+//!   datapath sizing build delay-only twins: distinct models, each with
+//!   its own throughput analysis and cost, that share one Petri
+//!   translation and one engine run per screen budget. Each distinct
+//!   structure is thus fully evaluated at most once per sweep, and each
+//!   distinct net screened at most once, at every thread count. (The exact
 //!   full/memo/pruned *split* can still shift marginally under parallel
 //!   scheduling, because pruning races the arrival of dominators from
 //!   other structures; the fronts and every per-point value are
@@ -188,6 +200,20 @@ impl DseOutcome {
 }
 
 type SiblingKey = (String, u64);
+
+/// Which phase-2 task a configuration joins.
+#[derive(PartialEq, Eq, Hash)]
+enum TaskKey {
+    /// Without memoization: every configuration alone (by its index).
+    Alone(usize),
+    /// Delay-only twins share an untimed structure, and with it one Petri
+    /// image and screen engine run: one task, so they never block each
+    /// other across workers.
+    Net(u64),
+    /// A reconfigurable candidate's depths: one task, so the
+    /// depth-monotonicity bound sees the shallower exact periods.
+    Chain(String),
+}
 
 struct Shared<'a> {
     cost: &'a CostModel,
@@ -460,19 +486,29 @@ pub fn explore_traced(
     );
     compiled.sort_unstable_by_key(|&(idx, _, _)| idx);
 
-    // phase 2: one task per distinct compiled model, running its
-    // configurations in enumeration order
-    let mut groups: Vec<(Arc<CompiledModel>, Vec<Config>)> = Vec::new();
-    let mut group_of: HashMap<*const CompiledModel, usize> = HashMap::new();
-    for (_, config, model) in compiled {
-        let g = *group_of.entry(Arc::as_ptr(&model)).or_insert_with(|| {
-            groups.push((Arc::clone(&model), Vec::new()));
-            groups.len() - 1
+    // phase 2: one task per untimed structure or depth chain, running its
+    // configurations shallow to deep, otherwise in enumeration order
+    let mut tasks: Vec<Vec<(Config, Arc<CompiledModel>)>> = Vec::new();
+    let mut task_of: HashMap<TaskKey, usize> = HashMap::new();
+    for (idx, config, model) in compiled {
+        let key = if !cfg.memoize {
+            TaskKey::Alone(idx)
+        } else if let Hardware::Reconfigurable { .. } = config.hardware {
+            TaskKey::Chain(config.hardware.label())
+        } else {
+            TaskKey::Net(model.untimed_digest())
+        };
+        let t = *task_of.entry(key).or_insert_with(|| {
+            tasks.push(Vec::new());
+            tasks.len() - 1
         });
-        groups[g].1.push(config);
+        tasks[t].push((config, model));
     }
-    let mut evaluations = shared.on_pool(cfg.threads, groups, |(model, configs), out| {
-        for config in configs {
+    for task in &mut tasks {
+        task.sort_by_key(|(config, _)| config.operating_depth());
+    }
+    let mut evaluations = shared.on_pool(cfg.threads, tasks, |task, out| {
+        for (config, model) in task {
             out.extend(shared.isolated(|| shared.eval_task(config, &model)));
         }
     });

@@ -140,6 +140,56 @@ fn parallel_memoized_pruned_sweep_matches_plain_serial() {
     }
 }
 
+/// Delay-only twins (sizings of one structure) share one screen engine
+/// run in the sweep's session: at every thread count the session runs the
+/// engine once per distinct untimed structure among the analysed models —
+/// fewer runs than full evaluations — and the fronts still equal the
+/// serial oracle's with memoization and pruning off.
+#[test]
+fn twins_share_one_engine_run_per_untimed_structure() {
+    let space = small_space();
+    let cost = CostModel::default();
+    let oracle = explore_with_session(
+        &space,
+        &cost,
+        &DseConfig {
+            threads: 1,
+            check_budget: 4_000,
+            memoize: false,
+            prune: false,
+        },
+        &Session::new(),
+    );
+    for threads in thread_counts() {
+        let session = Session::new();
+        let outcome = explore_with_session(
+            &space,
+            &cost,
+            &DseConfig {
+                threads,
+                check_budget: 4_000,
+                ..DseConfig::default()
+            },
+            &session,
+        );
+        assert_eq!(front_signature(&outcome), front_signature(&oracle));
+        let analysed: HashSet<u64> = space
+            .enumerate()
+            .iter()
+            .map(|c| session.compile(&c.build().unwrap()))
+            .filter(|m| m.analysed())
+            .map(|m| m.untimed_digest())
+            .collect();
+        let runs = session.stats().queries.check_runs;
+        assert_eq!(runs, analysed.len() as u64, "threads={threads}");
+        assert!(
+            runs < outcome.stats.full_evaluations as u64,
+            "threads={threads}: {runs} runs for {} full evaluations",
+            outcome.stats.full_evaluations
+        );
+    }
+}
+
 /// Objective vectors (not just labels) agree between a parallel pruned
 /// sweep and the serial reference, for every front member.
 #[test]

@@ -55,6 +55,7 @@
 //! | `session.compile` / `session.compile.hit` | counter | model compilations / intern-table hits |
 //! | `session.query.<kind>` | span | whole query (`petri`, `perf`, `lts`, `check`, `cost`, `steady`) |
 //! | `session.load` / `session.compute` / `session.commit` | span | store probe / actual analysis / persist-on-commit inside a query |
+//! | `session.wait` | span | time a query spent blocked on another thread's in-flight computation of the same slot |
 //! | `session.<kind>.query` / `.compute` / `.disk_hit` | counter | per-kind lifecycle outcomes (memo hits = query − compute − disk_hit) |
 //! | `dse.sweep` | span | one `explore*` call |
 //! | `dse.build` | span | building and compiling one candidate |
@@ -191,6 +192,22 @@ impl Obs {
     pub fn time<T>(&self, name: &'static str, f: impl FnOnce(&Obs) -> T) -> T {
         let timer = self.span(name);
         f(&timer.obs())
+    }
+
+    /// Record one completed span `name` under this handle's parent that
+    /// began at `start` and ends now — for an interval that is only known
+    /// to deserve a span once it is over (a query that turned out to have
+    /// waited rather than computed). Callers take `start` only when
+    /// [`is_enabled`](Self::is_enabled); detached, this records nothing.
+    #[inline]
+    pub fn span_since(&self, name: &'static str, start: Instant) {
+        if let Some(rec) = &self.rec {
+            let id = rec.span_open(self.parent, name);
+            rec.span_close(
+                id,
+                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
+        }
     }
 
     /// Add `delta` to the named counter.
@@ -745,6 +762,25 @@ mod tests {
         obs.gauge("engine.frontier.peak", 3.0);
         obs.observe_ns("store.read_ns", 100);
         obs.note("dse.full", "cfg", 42);
+        obs.span_since("session.wait", Instant::now());
+    }
+
+    #[test]
+    fn span_since_records_one_closed_span_under_the_parent() {
+        let c = Arc::new(Collector::new());
+        let obs = Obs::collecting(&c);
+        let query = obs.span("session.query.check");
+        let start = Instant::now();
+        query.obs().span_since("session.wait", start);
+        drop(query);
+        let snap = c.snapshot();
+        let wait = snap.spans.iter().position(|n| n.name == "session.wait");
+        let wait = &snap.spans[wait.expect("wait span recorded")];
+        assert_eq!(wait.count, 1);
+        assert_eq!(
+            snap.spans[wait.parent.unwrap() as usize].name,
+            "session.query.check"
+        );
     }
 
     #[test]

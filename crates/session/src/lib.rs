@@ -26,8 +26,15 @@
 //! * queries compose through the cache: `quick_check` demands the Petri
 //!   image, `cost` demands the throughput analysis — so a model queried
 //!   for performance, verification *and* silicon cost still performs
-//!   exactly one Petri translation and one phase unfolding
-//!   (observable via [`Session::stats`] / [`CompiledModel::stats`]);
+//!   exactly one Petri translation per untimed structure and one phase
+//!   unfolding (observable via [`Session::stats`] /
+//!   [`CompiledModel::stats`]);
+//! * the *untimed* artifacts — the Petri image, the LTS and the engine
+//!   runs behind the screens — never read a node delay, so models that
+//!   differ only in delays (sizing or voltage twins) share them: compile
+//!   also interns a delay-free digest, verified field by field like the
+//!   model key, and each net is translated, explored and screened once
+//!   per session, not once per timing;
 //! * the unified [`Error`] is the single `?`-target over every per-crate
 //!   error enum, with `From` conversions and `source()` chains.
 //!
@@ -48,13 +55,17 @@
 //! 3. **Thread-safe, never-duplicated work.** Cache slots are in-flight
 //!    reservations (`OnceLock` per key, the same discipline as the DSE
 //!    memo): under concurrent queries from any number of threads, each
-//!    artifact is computed at most once and every other caller blocks on
-//!    that computation instead of repeating it. Results are shareable
-//!    across threads (`&`-references tied to the model, or `Arc`s for the
-//!    budget-keyed artifacts).
+//!    artifact is computed at most once — an untimed one at most once per
+//!    untimed structure, whichever twin asks — and every other caller
+//!    blocks on that computation instead of repeating it (a traced
+//!    session records the blocked time as `session.wait`). Results are
+//!    shareable across threads (`&`-references tied to the model, or
+//!    `Arc`s for the budget-keyed artifacts).
 //! 4. **Observability.** [`Session::stats`] aggregates per-model counters
 //!    of queries vs actual computations, so cache behaviour is testable
-//!    and sweeps can do exact work accounting.
+//!    and sweeps can do exact work accounting. A query served by a
+//!    twin's computation counts as a cache hit, so summed over a session
+//!    every computation counter counts real work once.
 //!
 //! # Quick start
 //!
@@ -136,13 +147,14 @@ pub struct SessionStats {
 }
 
 /// A byte-exact digest of a model's identity: names, node order, kinds,
-/// markings, delays, guard modes and the ordered (inversion-flagged) edge
-/// lists — everything a query result can observe (names appear in perf
-/// reports, Petri place names, witnesses…). The digest is the intern
-/// *bucket* key; actual sharing additionally requires [`same_model`] to
-/// hold, so a hash collision can cost a duplicate compilation but never
-/// serve another model's cache.
-fn exact_digest(dfs: &Dfs) -> u64 {
+/// markings, delays (when `timed`), guard modes and the ordered
+/// (inversion-flagged) edge lists — everything a query result can observe
+/// (names appear in perf reports, Petri place names, witnesses…). With
+/// `timed` it is the model intern *bucket* key; without, the key of the
+/// untimed layer, whose artifacts never read a delay. Actual sharing
+/// additionally requires [`same_model`] to hold, so a hash collision can
+/// cost a duplicate computation but never serve another model's cache.
+fn digest(dfs: &Dfs, timed: bool) -> u64 {
     use dfs_core::hash::mix64 as mix;
     let mut h = mix(0x5e55_1055 ^ dfs.node_count() as u64);
     let mut fold = |v: u64| h = mix(h ^ mix(v));
@@ -159,7 +171,9 @@ fn exact_digest(dfs: &Dfs) -> u64 {
             Some(dfs_core::TokenValue::True) => 1,
             Some(dfs_core::TokenValue::False) => 2,
         });
-        fold(node.delay.to_bits());
+        if timed {
+            fold(node.delay.to_bits());
+        }
         fold(dfs.guard_mode(id) as u64);
         for e in dfs.preds(id) {
             fold((e.node.index() as u64) << 1 | u64::from(e.inverted));
@@ -169,11 +183,19 @@ fn exact_digest(dfs: &Dfs) -> u64 {
     h
 }
 
-/// Intern buckets keyed by `(structural_hash, exact_digest)`; entries
-/// within a bucket are verified by [`same_model`], so the bit-identity
-/// contract does not rest on 128 hash bits (a collision merely makes the
-/// bucket grow).
-type InternTable = HashMap<(u64, u64), Vec<Arc<CompiledModel>>>;
+/// The session's two intern tables, behind one lock. Entries within a
+/// bucket are verified by [`same_model`], so the bit-identity contract
+/// does not rest on hash bits (a collision merely makes a bucket grow).
+#[derive(Default)]
+struct Tables {
+    /// Compiled models, bucketed by `(structural_hash, digest(timed))`.
+    models: HashMap<(u64, u64), Vec<Arc<CompiledModel>>>,
+    /// One representative model per untimed structure, bucketed by
+    /// `digest(untimed)`: a new model whose only difference from a
+    /// representative is its delays shares the representative's untimed
+    /// artifacts (the table holds the model, not a copy of its [`Dfs`]).
+    untimed: HashMap<u64, Vec<Arc<CompiledModel>>>,
+}
 
 /// The query-driven entry point: compiles (interns) models and hands out
 /// [`CompiledModel`]s whose derived artifacts are demand-computed and
@@ -185,7 +207,7 @@ type InternTable = HashMap<(u64, u64), Vec<Arc<CompiledModel>>>;
 /// drop every cache).
 #[derive(Default)]
 pub struct Session {
-    models: Mutex<InternTable>,
+    tables: Mutex<Tables>,
     /// Compile/intern counters. Only written while the intern lock is
     /// held, and read under it too ([`Session::stats`]), so the
     /// compiles/hits/models triple is always mutually consistent.
@@ -198,15 +220,16 @@ pub struct Session {
     store: Option<Arc<Store>>,
 }
 
-/// Field-exact model equality: the verification step behind intern hits.
-fn same_model(a: &Dfs, b: &Dfs) -> bool {
+/// Field-exact model equality, delays compared only when `timed`: the
+/// verification step behind intern hits of both tables.
+fn same_model(a: &Dfs, b: &Dfs, timed: bool) -> bool {
     a.node_count() == b.node_count()
         && a.nodes().all(|id| {
             let (na, nb) = (a.node(id), b.node(id));
             na.name == nb.name
                 && na.kind == nb.kind
                 && na.initial == nb.initial
-                && na.delay.to_bits() == nb.delay.to_bits()
+                && (!timed || na.delay.to_bits() == nb.delay.to_bits())
                 && a.guard_mode(id) == b.guard_mode(id)
                 && a.preds(id) == b.preds(id)
                 && a.succs(id) == b.succs(id)
@@ -309,6 +332,11 @@ impl Session {
     /// was compiled before, its [`CompiledModel`] — with every artifact
     /// already cached on it — is returned instead of a fresh one.
     ///
+    /// A new model that differs from an earlier one only in node delays
+    /// (a sizing or voltage twin) shares that model's *untimed* artifacts
+    /// — the Petri image, the LTS and the engine runs behind its screens —
+    /// since none of them reads a delay; its timed artifacts stay its own.
+    ///
     /// Compilation itself derives nothing: artifacts are computed on first
     /// query. The returned `Arc` is shareable across threads and stays
     /// valid after the session is dropped (caches and all).
@@ -316,19 +344,25 @@ impl Session {
     pub fn compile(&self, dfs: &Dfs) -> Arc<CompiledModel> {
         let _span = self.obs.span("session.compile");
         let structural = dfs.structural_hash();
-        let key = (structural, exact_digest(dfs));
-        let mut models = self.models.lock().expect("session intern table");
-        if let Some(model) = models
+        let key = (structural, digest(dfs, true));
+        let mut tables = self.tables.lock().expect("session intern table");
+        if let Some(model) = tables
+            .models
             .entry(key)
             .or_default()
             .iter()
-            .find(|m| same_model(m.dfs(), dfs))
+            .find(|m| same_model(m.dfs(), dfs, true))
         {
             let model = Arc::clone(model);
             self.meter
                 .bump2("session.compile", "session.compile.hit", true);
             return model;
         }
+        let untimed_digest = digest(dfs, false);
+        let twins = tables.untimed.entry(untimed_digest).or_default();
+        let twin = twins.iter().find(|m| same_model(m.dfs(), dfs, false));
+        let representative = twin.is_none();
+        let untimed = twin.map(|m| m.untimed()).unwrap_or_default();
         let persist = self.store.as_ref().map(|s| persist::Persist {
             store: Arc::clone(s),
             structural,
@@ -338,10 +372,19 @@ impl Session {
             dfs.clone(),
             structural,
             key.1,
+            untimed_digest,
+            untimed,
             persist,
             self.obs.clone(),
         ));
-        models.entry(key).or_default().push(Arc::clone(&model));
+        if representative {
+            twins.push(Arc::clone(&model));
+        }
+        tables
+            .models
+            .entry(key)
+            .or_default()
+            .push(Arc::clone(&model));
         self.meter
             .bump2("session.compile", "session.compile.hit", false);
         model
@@ -354,10 +397,10 @@ impl Session {
     /// counters are copied under a single lock).
     #[must_use]
     pub fn stats(&self) -> SessionStats {
-        let models = self.models.lock().expect("session intern table");
+        let tables = self.tables.lock().expect("session intern table");
         let mut agg = CounterSnapshot::default();
         let mut count = 0u64;
-        for m in models.values().flatten() {
+        for m in tables.models.values().flatten() {
             agg.merge(&m.counter_snapshot());
             count += 1;
         }
@@ -421,6 +464,76 @@ mod tests {
         assert_eq!(stats.compiles, 3);
         assert_eq!(stats.compile_hits, 1);
         assert_eq!(stats.models, 2);
+    }
+
+    /// A guarded ring touching every field the untimed layer must see;
+    /// `change` alters exactly one of them (0 = none, 8 = delays only).
+    fn guarded_ring(change: u8) -> Dfs {
+        use dfs_core::{GuardMode, TokenValue};
+        let mut b = DfsBuilder::new();
+        let r0 = b.register(if change == 1 { "x0" } else { "r0" });
+        let r0 = if change == 8 { r0.delay(2.0) } else { r0 }
+            .marked()
+            .build();
+        let f = if change == 2 {
+            b.register("f")
+        } else {
+            b.logic("f")
+        };
+        let f = if change == 8 { f.delay(3.0) } else { f }.build();
+        let value = if change == 4 {
+            TokenValue::False
+        } else {
+            TokenValue::True
+        };
+        let c = b.control("c").marked_with(value).build();
+        let mode = if change == 5 {
+            GuardMode::And
+        } else {
+            GuardMode::Unanimous
+        };
+        let p = b.push("p").guard_mode(mode).build();
+        let r1 = b.register("r1");
+        let r1 = if change == 3 { r1.marked() } else { r1 }.build();
+        b.connect_chain(&[r0, f, p, r1, r0]);
+        if change == 7 {
+            b.connect_inverted(c, p);
+        } else {
+            b.connect(c, p);
+        }
+        if change == 6 {
+            b.connect(r1, c);
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn the_untimed_layer_shares_delay_only_twins_and_separates_the_rest() {
+        let session = Session::new();
+        let base = session.compile(&guarded_ring(0));
+        for change in 1..=7 {
+            // the field check alone, not just the digest, tells them apart
+            assert!(!same_model(&guarded_ring(0), &guarded_ring(change), false));
+            let other = session.compile(&guarded_ring(change));
+            assert!(!Arc::ptr_eq(&base, &other), "change {change}");
+            assert!(
+                !Arc::ptr_eq(&base.untimed(), &other.untimed()),
+                "change {change} must not share the untimed layer"
+            );
+        }
+        assert!(same_model(&guarded_ring(0), &guarded_ring(8), false));
+        assert!(!same_model(&guarded_ring(0), &guarded_ring(8), true));
+        let twin = session.compile(&guarded_ring(8));
+        assert!(!Arc::ptr_eq(&base, &twin), "delays are part of identity");
+        assert_ne!(base.identity_digest(), twin.identity_digest());
+        assert_eq!(base.untimed_digest(), twin.untimed_digest());
+        assert!(Arc::ptr_eq(&base.untimed(), &twin.untimed()));
+        // one translation serves both twins; the twin's query is a hit
+        assert!(std::ptr::eq(base.petri(), twin.petri()));
+        let stats = session.stats();
+        assert_eq!(stats.models, 9);
+        assert_eq!(stats.queries.petri_translations, 1);
+        assert_eq!(stats.queries.cache_hits(), 1);
     }
 
     #[test]

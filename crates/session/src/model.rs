@@ -16,6 +16,7 @@ use rap_silicon::cost::CostModel;
 use rap_store::QueryKind;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// A keyed cache slot. The `Arc` lets a query hold the slot outside the
 /// map lock while it computes; the `OnceLock` is the in-flight
@@ -30,6 +31,29 @@ where
     K: std::hash::Hash + Eq,
 {
     Arc::clone(map.lock().expect("slot map").entry(key).or_default())
+}
+
+/// `slot`'s value, running `init` if this call wins the reservation. A
+/// call that instead blocks on another thread's in-flight `init` records
+/// the blocked interval as a `session.wait` span under `obs`; a detached
+/// handle takes the plain `get_or_init`, at no extra cost.
+fn fill<'s, T>(obs: &Obs, slot: &'s OnceLock<T>, init: impl FnOnce() -> T) -> &'s T {
+    if !obs.is_enabled() {
+        return slot.get_or_init(init);
+    }
+    if let Some(v) = slot.get() {
+        return v;
+    }
+    let start = Instant::now();
+    let mut ran = false;
+    let v = slot.get_or_init(|| {
+        ran = true;
+        init()
+    });
+    if !ran {
+        obs.span_since("session.wait", start);
+    }
+    v
 }
 
 /// The engine settings of a budgeted query, recording into `obs`.
@@ -78,8 +102,12 @@ struct Stored<'a, T> {
 /// counts actual computations; the difference is the number of calls
 /// served from cache. Because every computation runs under an in-flight
 /// reservation, each computation counter is bounded by the number of
-/// distinct cache keys of its query — `petri_translations` and
-/// `perf_analyses` can never exceed 1 per model.
+/// distinct cache keys of its query — `perf_analyses` can never exceed 1
+/// per model. The untimed kinds (`petri`, `lts`, `check`) are computed
+/// once per *untimed structure* and key: `petri_translations` can never
+/// exceed 1 per untimed structure, and a model served by a delay-only
+/// twin's computation counts a cache hit, so summed over a session's
+/// models each computation counter still counts real work exactly once.
 ///
 /// `ModelStats` is a *view* over the model's `rap-obs` counter set (see
 /// [`ModelStats::from_counters`]); each model's counters are copied under
@@ -185,6 +213,20 @@ impl CostSummary {
     }
 }
 
+/// The untimed artifacts of a compiled model: those derived from the
+/// model's Petri image or direct semantics, which never read a node delay.
+/// Every model of a session that differs from another only in its delays
+/// (a sizing or voltage twin) holds the same `Untimed`, so each net is
+/// translated, explored and screened once, not once per timing.
+#[derive(Default)]
+pub(crate) struct Untimed {
+    petri: OnceLock<PetriImage>,
+    lts: SlotMap<usize, Result<Arc<Lts>, Error>>,
+    /// The engine runs behind [`CompiledModel::quick_check`]; each model
+    /// keeps its own persisted check slot in front of these.
+    checks: SlotMap<usize, Arc<QuickCheck>>,
+}
+
 /// A compiled (interned) DFS model: an immutable [`Dfs`] plus a cache of
 /// every derived artifact, each computed on first demand and shared by all
 /// later queries — from any thread.
@@ -198,6 +240,10 @@ pub struct CompiledModel {
     dfs: Dfs,
     structural_hash: u64,
     identity_digest: u64,
+    untimed_digest: u64,
+    /// The Petri image, LTS and screen engine runs, shared with every
+    /// delay-only twin (see [`Untimed`]).
+    untimed: Arc<Untimed>,
     /// Store context of a persistent session; `None` = memory-only. The
     /// persisted queries (perf, check, cost, steady) consult the store
     /// inside their in-flight reservation: a verified disk frame fills the
@@ -205,9 +251,9 @@ pub struct CompiledModel {
     /// zero full evaluations. The Petri image and LTS are recomputed, not
     /// persisted — see [`crate::persist`].
     persist: Option<Persist>,
-    petri: OnceLock<PetriImage>,
     perf: OnceLock<Result<PerfDetail, Error>>,
-    lts: SlotMap<usize, Result<Arc<Lts>, Error>>,
+    /// This model's screens, persisted under its own store key and filled
+    /// from the shared engine runs in [`Untimed`].
     checks: SlotMap<usize, Arc<QuickCheck>>,
     costs: SlotMap<u64, Result<CostSummary, Error>>,
     steady: SlotMap<(NodeId, u64), Result<SteadyStatePeriod, Error>>,
@@ -240,6 +286,8 @@ impl CompiledModel {
         dfs: Dfs,
         structural_hash: u64,
         identity_digest: u64,
+        untimed_digest: u64,
+        untimed: Arc<Untimed>,
         persist: Option<Persist>,
         obs: Obs,
     ) -> Self {
@@ -247,10 +295,10 @@ impl CompiledModel {
             dfs,
             structural_hash,
             identity_digest,
+            untimed_digest,
+            untimed,
             persist,
-            petri: OnceLock::new(),
             perf: OnceLock::new(),
-            lts: Mutex::new(HashMap::new()),
             checks: Mutex::new(HashMap::new()),
             costs: Mutex::new(HashMap::new()),
             steady: Mutex::new(HashMap::new()),
@@ -280,6 +328,21 @@ impl CompiledModel {
         self.identity_digest
     }
 
+    /// A digest of the model with node delays left out: equal for
+    /// delay-only twins, which share their untimed artifacts (the Petri
+    /// image, LTS and screen engine runs). A grouping key only — sharing
+    /// itself is verified field by field at compile time, so two models
+    /// with equal digests may still hold separate artifacts.
+    #[must_use]
+    pub fn untimed_digest(&self) -> u64 {
+        self.untimed_digest
+    }
+
+    /// The untimed artifacts this model shares with its delay-only twins.
+    pub(crate) fn untimed(&self) -> Arc<Untimed> {
+        Arc::clone(&self.untimed)
+    }
+
     /// Per-model query/computation counters — one coherent snapshot (a
     /// single lock acquisition; the query/compute pair of a kind can never
     /// tear apart).
@@ -307,21 +370,25 @@ impl CompiledModel {
     /// The one query lifecycle every query runs through: inside a
     /// `session.query.<kind>` span, reserve `slot`; the caller that wins the
     /// reservation first tries the store (`session.load`, persisted kinds
-    /// of a persistent session only), else runs `compute` (under
-    /// `session.compute`) and commits a storable result (`session.commit`).
-    /// The kind's counters are bumped under one meter lock. The flag is
-    /// `true` iff *this* call ran `compute`.
-    fn query<'s, T>(
+    /// of a persistent session only), else takes the value from `shared` —
+    /// the slot a delay-only twin may already have filled — running
+    /// `compute` (under `session.compute`) only if no one has, and commits
+    /// a storable result (`session.commit`). Blocking on another thread's
+    /// in-flight reservation is recorded as `session.wait`. The kind's
+    /// counters are bumped under one meter lock. The flag is `true` iff
+    /// *this* call ran `compute`.
+    fn query<'s, T: Clone>(
         &self,
         kind: Kind,
         slot: &'s OnceLock<T>,
         stored: Option<Stored<'_, T>>,
+        shared: Option<&OnceLock<T>>,
         compute: impl FnOnce(&Obs) -> T,
     ) -> (&'s T, bool) {
         let span = self.obs.span(kind.span);
         let qobs = span.obs();
         let (mut computed, mut disk_hit) = (false, false);
-        let value = slot.get_or_init(|| {
+        let value = fill(&qobs, slot, || {
             let store = self.persist.as_ref().zip(stored);
             if let Some((p, s)) = &store {
                 let loaded = qobs.time("session.load", |_| p.load(s.kind, s.subkey, s.decode));
@@ -330,8 +397,14 @@ impl CompiledModel {
                     return v;
                 }
             }
-            computed = true;
-            let v = qobs.time("session.compute", compute);
+            let run = || {
+                computed = true;
+                qobs.time("session.compute", compute)
+            };
+            let v = match shared {
+                Some(shared) => fill(&qobs, shared, run).clone(),
+                None => run(),
+            };
             if let Some((p, s)) = &store {
                 if let Some(payload) = (s.encode)(&v) {
                     qobs.time("session.commit", |_| p.save(s.kind, s.subkey, &payload));
@@ -348,11 +421,14 @@ impl CompiledModel {
         (value, computed)
     }
 
-    /// The Petri-net image (Fig. 3 translation) — computed once, equal to
-    /// [`to_petri()`]`(self.dfs())`.
+    /// The Petri-net image (Fig. 3 translation) — computed once per
+    /// untimed structure (delay-only twins share it), equal to
+    /// [`to_petri()`]`(self.dfs())`: the translation never reads a delay.
     pub fn petri(&self) -> &PetriImage {
-        self.query(kind!("petri"), &self.petri, None, |_| to_petri(&self.dfs))
-            .0
+        self.query(kind!("petri"), &self.untimed.petri, None, None, |_| {
+            to_petri(&self.dfs)
+        })
+        .0
     }
 
     /// The exact throughput analysis with per-node activity — computed
@@ -382,7 +458,7 @@ impl CompiledModel {
             decode: &|b| decode_perf(b).map(Ok),
             encode: &|r: &Result<_, _>| r.as_ref().ok().map(encode_perf),
         };
-        let (res, analysed) = self.query(kind!("perf"), &self.perf, Some(stored), |_| {
+        let (res, analysed) = self.query(kind!("perf"), &self.perf, Some(stored), None, |_| {
             analyse_with_activity(&self.dfs).map_err(Error::from)
         });
         (res.as_ref().map_err(Clone::clone), analysed)
@@ -407,7 +483,8 @@ impl CompiledModel {
     }
 
     /// The reachable LTS of the direct semantics under `budget` —
-    /// computed once per distinct budget, equal to
+    /// computed once per distinct budget and untimed structure (delay-only
+    /// twins share it; exploration never reads a delay), equal to
     /// [`Lts::explore`]`(self.dfs(), &cfg, None)` with `cfg.max_states =
     /// budget`.
     ///
@@ -416,8 +493,8 @@ impl CompiledModel {
     /// The cached [`DfsError::StateBudgetExceeded`](dfs_core::DfsError)
     /// when the state space exceeds `budget`.
     pub fn lts(&self, budget: usize) -> Result<Arc<Lts>, Error> {
-        let slot = keyed_slot(&self.lts, budget);
-        let (res, _) = self.query(kind!("lts"), &slot, None, |o| {
+        let slot = keyed_slot(&self.untimed.lts, budget);
+        let (res, _) = self.query(kind!("lts"), &slot, None, None, |o| {
             let lts = Lts::explore(&self.dfs, &engine_config(budget, o), None);
             match lts.outcome() {
                 ExploreOutcome::Complete => Ok(Arc::new(lts)),
@@ -429,23 +506,28 @@ impl CompiledModel {
         res.clone()
     }
 
-    /// The budgeted deadlock/1-safety screen over the Petri image —
-    /// computed once per distinct budget, equal to
-    /// [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
+    /// The budgeted deadlock/1-safety screen over the Petri image, equal
+    /// to [`quick_check`](rap_petri::analysis::quick_check)`(&img.net,
     /// &img.complementary_pairs(), &cfg)` with `cfg.max_states = budget`.
-    /// Demands [`petri`](Self::petri), so the translation is still
-    /// performed at most once per model; a disk hit skips the whole
-    /// pipeline, the translation included.
+    ///
+    /// Each model keeps, and persists under its own store key, one screen
+    /// per distinct budget. One that is not on disk is taken from the
+    /// engine run shared by the model's delay-only twins, so the engine
+    /// runs at most once per budget and untimed structure. The run
+    /// demands [`petri`](Self::petri), so the translation is still
+    /// performed at most once per untimed structure; a disk hit skips the
+    /// whole pipeline, the translation included.
     #[must_use]
     pub fn quick_check(&self, budget: usize) -> Arc<QuickCheck> {
         let slot = keyed_slot(&self.checks, budget);
+        let shared = keyed_slot(&self.untimed.checks, budget);
         let stored = Stored {
             kind: QueryKind::Check,
             subkey: budget as u64,
             decode: &|b| decode_check(b).map(Arc::new),
             encode: &|c: &Arc<QuickCheck>| Some(encode_check(c)),
         };
-        let (check, _) = self.query(kind!("check"), &slot, Some(stored), |o| {
+        let (check, _) = self.query(kind!("check"), &slot, Some(stored), Some(&shared), |o| {
             let img = self.petri();
             Arc::new(rap_petri::analysis::quick_check(
                 &img.net,
@@ -473,7 +555,7 @@ impl CompiledModel {
             decode: &|b| decode_cost(b).map(Ok),
             encode: &|r: &Result<_, _>| r.as_ref().ok().map(encode_cost),
         };
-        let (res, _) = self.query(kind!("cost"), &slot, Some(stored), |_| {
+        let (res, _) = self.query(kind!("cost"), &slot, Some(stored), None, |_| {
             let detail = self.perf_detail()?;
             Ok(CostSummary {
                 area: cost.area(&self.dfs),
@@ -512,7 +594,7 @@ impl CompiledModel {
                     .map(|sp| encode_steady(output, max_marks, sp))
             },
         };
-        let (res, _) = self.query(kind!("steady"), &slot, Some(stored), |_| {
+        let (res, _) = self.query(kind!("steady"), &slot, Some(stored), None, |_| {
             measure_steady_period(&self.dfs, output, max_marks, ChoicePolicy::AlwaysTrue)
                 .map_err(Error::from)
         });

@@ -11,7 +11,10 @@
 //!   computation total, everyone else blocks on it);
 //! * a model queried for `perf`, `quick_check` and `cost` performs
 //!   exactly **one Petri translation and one phase unfolding** (the
-//!   acceptance pin of the session layer, via `Session::stats`).
+//!   acceptance pin of the session layer, via `Session::stats`);
+//! * delay-only twins share that translation, their LTS and their screen
+//!   engine runs, and still answer like the direct calls on their own
+//!   model.
 
 use proptest::prelude::*;
 use rap::dfs::perf::{analyse_with_activity, PerfDetail};
@@ -21,7 +24,7 @@ use rap::dfs::wagging::wagged_pipeline;
 use rap::dfs::{to_petri, Dfs, DfsError, Lts};
 use rap::petri::analysis::quick_check;
 use rap::petri::engine::{EngineConfig, ExploreOutcome};
-use rap::session::{CostModel, CostSummary};
+use rap::session::{CostModel, CostSummary, ModelStats};
 use rap::{Error, Session};
 use std::sync::Arc;
 
@@ -91,7 +94,23 @@ fn direct_cost(dfs: &Dfs, cost: &CostModel) -> CostSummary {
 
 /// Every query vs its direct free function, on one model.
 fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
-    let session = Session::new();
+    let stats = assert_coherent_in(&Session::new(), dfs, lts_budget, check_budget);
+    assert_eq!(stats.perf_analyses, 1);
+    assert_eq!(stats.petri_translations, 1);
+    assert_eq!(stats.lts_explorations, 1);
+    assert_eq!(stats.check_runs, 1);
+    assert_eq!(stats.cost_evaluations, 1);
+}
+
+/// [`assert_coherent`] in `session`, which may already hold a delay-only
+/// twin of `dfs`: every untimed artifact is then the twin's, and still
+/// equal to the direct call on `dfs`. Returns the model's own counters.
+fn assert_coherent_in(
+    session: &Session,
+    dfs: &Dfs,
+    lts_budget: usize,
+    check_budget: usize,
+) -> ModelStats {
     let model = session.compile(dfs);
     let cost = CostModel::default();
 
@@ -181,12 +200,7 @@ fn assert_coherent(dfs: &Dfs, lts_budget: usize, check_budget: usize) {
         assert!(Arc::ptr_eq(&lts, &model.lts(lts_budget).unwrap()));
     }
     assert!(Arc::ptr_eq(&check, &model.quick_check(check_budget)));
-    let stats = model.stats();
-    assert_eq!(stats.perf_analyses, 1);
-    assert_eq!(stats.petri_translations, 1);
-    assert_eq!(stats.lts_explorations, 1);
-    assert_eq!(stats.check_runs, 1);
-    assert_eq!(stats.cost_evaluations, 1);
+    model.stats()
 }
 
 proptest! {
@@ -283,6 +297,45 @@ proptest! {
         // 8 direct queries + exactly 1 internal one from the single cost
         // evaluation (cache-hit cost queries never re-enter perf)
         prop_assert_eq!(stats.perf_queries, 8 + 1);
+    }
+}
+
+/// Random reconfigurable pipeline and a sizing twin of it: the same
+/// shape with every per-stage `f` delay scaled.
+fn arb_twins() -> impl Strategy<Value = (Dfs, Dfs)> {
+    (2usize..5, 1usize..5, 0usize..DELAYS.len()).prop_map(|(stages, depth, d)| {
+        let spec = PipelineSpec::reconfigurable_depth(stages, depth.min(stages)).unwrap();
+        let scaled = spec.f_delays.iter().map(|f| f * DELAYS[d] + 0.25).collect();
+        let twin = spec.clone().with_f_delays(scaled);
+        (
+            build_pipeline(&spec).unwrap().dfs,
+            build_pipeline(&twin).unwrap().dfs,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Delay-only twins share one translation, one LTS exploration and one
+    /// screen engine run, and the twin served by the other's computations
+    /// still answers every query exactly like the direct calls on its own
+    /// model.
+    #[test]
+    fn delay_only_twins_share_untimed_work_and_stay_coherent((dfs, twin) in arb_twins()) {
+        let session = Session::new();
+        let first = session.compile(&dfs);
+        let _ = first.quick_check(50_000);
+        let _ = first.lts(500_000);
+        let own = assert_coherent_in(&session, &twin, 500_000, 50_000);
+        // the twin computed only its timed artifacts
+        prop_assert_eq!(own.computations(), own.perf_analyses + own.cost_evaluations);
+        let q = session.stats().queries;
+        prop_assert_eq!(session.stats().models, 2);
+        prop_assert_eq!(q.petri_translations, 1);
+        prop_assert_eq!(q.lts_explorations, 1);
+        prop_assert_eq!(q.check_runs, 1);
+        prop_assert_eq!(q.perf_analyses, 1, "the twin's perf is its own");
     }
 }
 
