@@ -3,7 +3,7 @@
 //! per experiment family.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dfs_core::perf::{howard::howard_mcr, mcr::maximum_cycle_ratio, EventGraph};
+use dfs_core::perf::{mcr::maximum_cycle_ratio, EventGraph};
 use dfs_core::pipelines::{build_pipeline, PipelineSpec};
 use dfs_core::timed::{measure_throughput, ChoicePolicy};
 use dfs_core::{to_petri, Lts};
@@ -71,9 +71,6 @@ fn bench_mcr(c: &mut Criterion) {
     let g = EventGraph::build(&p.dfs);
     c.bench_function("mcr_binary_search_ope18", |b| {
         b.iter(|| maximum_cycle_ratio(&g).unwrap().ratio)
-    });
-    c.bench_function("mcr_howard_ope18", |b| {
-        b.iter(|| howard_mcr(&g).unwrap().ratio)
     });
 }
 

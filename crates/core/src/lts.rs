@@ -25,10 +25,9 @@ use crate::node::{NodeId, NodeKind, TokenValue};
 use crate::semantics::Event;
 use crate::state::DfsState;
 use rap_petri::engine::{
-    self, get_bit, set_bit, EngineConfig, ExploredGraph, StateSymmetry, TransitionSystem, NO_PARENT,
+    self, get_bit, set_bit, EngineConfig, ExploredGraph, StateSymmetry, Successors,
+    TransitionSystem,
 };
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 
 /// Dense id of a state in an [`Lts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,17 +44,16 @@ impl LtsStateId {
 /// The reachable labelled transition system of a DFS model.
 ///
 /// States live delta-compressed in the underlying [`ExploredGraph`];
-/// [`Lts::state`] materialises a [`DfsState`] snapshot on demand.
+/// [`Lts::state`] materialises a [`DfsState`] snapshot on demand. Traces,
+/// quotient concretisation and the dead-state rule are the graph's; this
+/// view only decodes states and names its `u32` action and state ids as
+/// [`Event`]s and [`LtsStateId`]s.
 #[derive(Debug, Clone)]
 pub struct Lts {
     node_count: usize,
     graph: ExploredGraph,
+    /// The event of each engine action id.
     actions: Vec<Event>,
-    parent_events: Vec<Event>,
-    succ: Vec<(Event, LtsStateId)>,
-    /// Present when this is a quotient LTS: the symmetry used to
-    /// canonicalize states, needed to make traces concrete again.
-    symmetry: Option<StateSymmetry>,
 }
 
 impl Lts {
@@ -69,113 +67,45 @@ impl Lts {
     #[must_use]
     pub fn explore(dfs: &Dfs, cfg: &EngineConfig, symmetry: Option<&StateSymmetry>) -> Lts {
         let graph = engine::explore(|| DfsSystem::new(dfs), cfg, symmetry);
-        let sys = DfsSystem::new(dfs);
-        Self::from_graph(graph, &sys, symmetry.cloned())
+        Lts {
+            node_count: dfs.node_count(),
+            graph,
+            actions: DfsSystem::new(dfs).actions,
+        }
     }
 
-    fn from_graph(
-        mut g: ExploredGraph,
-        sys: &DfsSystem<'_>,
-        symmetry: Option<StateSymmetry>,
-    ) -> Lts {
-        let parent_events = g
-            .parents
-            .iter()
-            .map(|&(p, a)| {
-                if p == NO_PARENT {
-                    // arbitrary filler for the root (never read)
-                    Event::Eval(NodeId::from_index(0))
-                } else {
-                    sys.actions[a as usize]
-                }
-            })
-            .collect();
-        let succ = std::mem::take(&mut g.succ)
+    fn label(&self, actions: Vec<u32>) -> Vec<Event> {
+        actions
             .into_iter()
-            .map(|(a, s)| (sys.actions[a as usize], LtsStateId(s)))
-            .collect();
-        Lts {
-            node_count: sys.dfs.node_count(),
-            graph: g,
-            actions: sys.actions.clone(),
-            parent_events,
-            succ,
-            symmetry,
-        }
+            .map(|a| self.actions[a as usize])
+            .collect()
     }
 
     /// The original (pre-engine) explorer, up to `max_states` states:
     /// `HashMap<DfsState, _>` dedup with cloned keys and a full
-    /// `enabled_events` scan per state.
+    /// `enabled_events` scan per state ([`engine::explore_naive`]).
     ///
     /// Retained as the reference implementation for the engine-equivalence
     /// property tests and the `state_space_scaling` baseline; use
     /// [`Lts::explore`] everywhere else.
     #[must_use]
     pub fn explore_naive(dfs: &Dfs, max_states: usize) -> Lts {
-        let s0 = DfsState::initial(dfs);
-        let mut index: HashMap<DfsState, LtsStateId> = HashMap::new();
-        let mut states = vec![s0.clone()];
-        let mut edges: Vec<Vec<(Event, LtsStateId)>> = vec![Vec::new()];
-        let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-        let mut parent_events: Vec<Event> = vec![Event::Eval(NodeId::from_index(0))];
-        index.insert(s0, LtsStateId(0));
-        let mut queue = VecDeque::from([LtsStateId(0)]);
-        let mut outcome = engine::ExploreOutcome::Complete;
-
-        'bfs: while let Some(s) = queue.pop_front() {
-            let state = states[s.index()].clone();
-            for ev in dfs.enabled_events(&state) {
-                let next = dfs.apply(&state, ev);
-                let succ = match index.entry(next) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if states.len() >= max_states {
-                            outcome = engine::ExploreOutcome::Truncated { limit: max_states };
-                            break 'bfs;
-                        }
-                        let id = LtsStateId(states.len() as u32);
-                        states.push(e.key().clone());
-                        edges.push(Vec::new());
-                        parents.push((s.0, 0));
-                        parent_events.push(ev);
-                        queue.push_back(id);
-                        e.insert(id);
-                        id
-                    }
-                };
-                edges[s.index()].push((ev, succ));
-            }
-        }
-
-        // pack into the graph representation shared with the engine path
-        let node_count = dfs.node_count();
-        let stride = DfsSystem::stride_for(node_count);
-        let mut arena = Vec::with_capacity(states.len() * stride);
-        let mut buf = vec![0u64; stride];
-        for st in &states {
-            buf.iter_mut().for_each(|w| *w = 0);
-            DfsSystem::encode(st, node_count, &mut buf);
-            arena.extend_from_slice(&buf);
-        }
-        let mut succ_off = Vec::with_capacity(states.len() + 1);
-        let mut succ = Vec::new();
-        succ_off.push(0u32);
-        for row in &edges {
-            succ.extend_from_slice(row);
-            succ_off.push(succ.len() as u32);
-        }
-
         let sys = DfsSystem::new(dfs);
-        let graph =
-            ExploredGraph::from_dense(stride, arena, parents, succ_off, Vec::new(), outcome);
+        let n = dfs.node_count();
+        let fire_all = |st: &DfsState| {
+            dfs.enabled_events(st)
+                .into_iter()
+                .map(|ev| (sys.action_id(ev) as u32, dfs.apply(st, ev)))
+                .collect()
+        };
+        let encode = |st: &DfsState, out: &mut [u64]| DfsSystem::encode(st, n, out);
+        let s0 = DfsState::initial(dfs);
+        let stride = DfsSystem::stride_for(n);
+        let graph = engine::explore_naive(s0, max_states, stride, fire_all, encode);
         Lts {
-            node_count,
+            node_count: n,
             graph,
             actions: sys.actions,
-            parent_events,
-            succ,
-            symmetry: None,
         }
     }
 
@@ -206,7 +136,7 @@ impl Lts {
     /// The symmetry this LTS is a quotient under, if any.
     #[must_use]
     pub fn symmetry(&self) -> Option<&StateSymmetry> {
-        self.symmetry.as_ref()
+        self.graph.symmetry()
     }
 
     /// The initial state id.
@@ -240,11 +170,10 @@ impl Lts {
         (0..self.graph.len() as u32).map(LtsStateId)
     }
 
-    /// Outgoing labelled edges of `id`.
+    /// Outgoing labelled edges of `id`, in firing order.
     #[must_use]
-    pub fn successors(&self, id: LtsStateId) -> &[(Event, LtsStateId)] {
-        let i = id.index();
-        &self.succ[self.graph.succ_off[i] as usize..self.graph.succ_off[i + 1] as usize]
+    pub fn successors(&self, id: LtsStateId) -> Successors<'_, Event, LtsStateId> {
+        Successors::new(self.graph.successors(id.index()), &self.actions, LtsStateId)
     }
 
     /// Event sequence from the initial state to `id`.
@@ -254,14 +183,7 @@ impl Lts {
     /// model.
     #[must_use]
     pub fn trace_to(&self, id: LtsStateId) -> Vec<Event> {
-        let mut rev = Vec::new();
-        let mut cur = id.index();
-        while self.graph.parents[cur].0 != NO_PARENT {
-            rev.push(self.parent_events[cur]);
-            cur = self.graph.parents[cur].0 as usize;
-        }
-        rev.reverse();
-        rev
+        self.label(self.graph.trace_to(id.index()))
     }
 
     /// The symmetry rotation applied when `id` was canonicalized at
@@ -272,40 +194,19 @@ impl Lts {
     }
 
     /// An event sequence of the *original* model from its concrete initial
-    /// state to a concrete member of `id`'s orbit. Falls back to
-    /// [`Lts::trace_to`] when this is not a quotient LTS.
-    ///
-    /// Each quotient step fires in the representative's frame; un-rotating
-    /// by the cumulative rotation accumulated along the discovery path
-    /// yields the concrete event — see the soundness argument in the
-    /// [`rap_petri::engine`] docs.
+    /// state to a concrete member of `id`'s orbit. Equals [`Lts::trace_to`]
+    /// when this is not a quotient LTS (see [`ExploredGraph::concretize`]).
     #[must_use]
     pub fn concrete_trace_to(&self, id: LtsStateId) -> Vec<Event> {
-        let Some(sym) = &self.symmetry else {
-            return self.trace_to(id);
-        };
-        let mut path = vec![id.index()];
-        while self.graph.parents[*path.last().expect("non-empty path")].0 != NO_PARENT {
-            path.push(self.graph.parents[*path.last().expect("non-empty path")].0 as usize);
-        }
-        path.reverse();
-        let order = sym.order() as u32;
-        let mut rot = self.graph.rotation(path[0]);
-        let mut out = Vec::with_capacity(path.len() - 1);
-        for &child in &path[1..] {
-            let a = self.graph.parents[child].1;
-            out.push(self.actions[sym.unrotate_action(rot, a) as usize]);
-            rot = (rot + self.graph.rotation(child)) % order;
-        }
-        out
+        self.label(self.graph.concretize(id.index()).0)
     }
 
-    /// States with no outgoing edges (deadlocks).
+    /// The deadlocks — states with no enabled event — in id order. An
+    /// unexpanded frontier state of a truncated exploration is one only
+    /// when it is dead (see [`ExploredGraph::dead_states`]).
     #[must_use]
     pub fn deadlocks(&self) -> Vec<LtsStateId> {
-        self.states()
-            .filter(|&s| self.successors(s).is_empty())
-            .collect()
+        self.graph.dead_states().map(LtsStateId).collect()
     }
 
     /// Finds a state satisfying `pred`, in BFS (shortest-trace) order,
@@ -417,16 +318,10 @@ pub fn node_rotation_symmetry(dfs: &Dfs, node_perm: &[u32]) -> Result<StateSymme
 
     // action permutation: slot s of node i maps to slot s of its image
     // (same kind, hence the same slot layout)
-    let mut base = Vec::with_capacity(n);
-    let mut total = 0u32;
+    let DfsSystem { actions, base, .. } = DfsSystem::new(dfs);
+    let mut act_perm = vec![0u32; actions.len()];
     for node in dfs.nodes() {
-        base.push(total);
-        total += action_slots(dfs.kind(node));
-    }
-    let mut act_perm = vec![0u32; total as usize];
-    for node in dfs.nodes() {
-        let i = node.index();
-        let j = node_perm[i] as usize;
+        let (i, j) = (node.index(), node_perm[node.index()] as usize);
         for s in 0..action_slots(dfs.kind(node)) {
             act_perm[(base[i] + s) as usize] = base[j] + s;
         }
@@ -750,6 +645,23 @@ mod tests {
         assert!(!lts.deadlocks().is_empty());
         let mismatch = lts.find_state(|s| dfs.has_control_mismatch(s));
         assert!(mismatch.is_some());
+    }
+
+    /// An unexpanded frontier state of a cut exploration is not a
+    /// deadlock: the deadlock-free `reconfigurable_depth(2,2)` pipeline
+    /// reports none at any budget, on the engine and on the naive explorer.
+    #[test]
+    fn truncated_frontier_is_not_a_deadlock() {
+        let spec = crate::pipelines::PipelineSpec::reconfigurable_depth(2, 2).unwrap();
+        let dfs = crate::pipelines::build_pipeline(&spec).unwrap().dfs;
+        assert!(explore_all(&dfs, 1_000_000).deadlocks().is_empty());
+        for max_states in [50, 200, 1_000] {
+            let lts = Lts::explore(&dfs, &budget(max_states), None);
+            assert!(lts.is_truncated());
+            assert_eq!(lts.deadlocks(), [], "budget {max_states}");
+            let naive = Lts::explore_naive(&dfs, max_states);
+            assert_eq!(naive.deadlocks(), [], "naive, budget {max_states}");
+        }
     }
 
     /// The engine-backed explorer is indistinguishable from the naive

@@ -11,11 +11,10 @@
 //!    occurrences apart the dependency acts — the max-plus initial marking).
 //! 2. The steady-state period equals the **maximum cycle ratio**
 //!    `Σdelay / Σtokens` over the cycles of that graph; throughput is its
-//!    reciprocal. Two independent solvers are provided —
-//!    [`mcr::maximum_cycle_ratio`] (parametric binary search over
-//!    Bellman–Ford) and [`howard::howard_mcr`] (policy iteration) — and
-//!    cross-checked against each other, against brute-force cycle
-//!    enumeration and against the timed simulator in the test-suite.
+//!    reciprocal. [`mcr::maximum_cycle_ratio`] computes it by parametric
+//!    binary search over Bellman–Ford; the test-suite cross-checks it
+//!    against brute-force cycle enumeration
+//!    ([`mcr::brute_force_mcr`]) and against the timed simulator.
 //!
 //! The event-graph construction covers both constraint families of the
 //! spread-token semantics: the *forward* data dependencies and the
@@ -58,7 +57,6 @@
 //! resolution of those choices; other policies are the simulator's
 //! territory.
 
-pub mod howard;
 pub mod mcr;
 pub mod unfold;
 
@@ -123,8 +121,8 @@ impl EventGraph {
 
     /// Forward adjacency: for each vertex, the indices of its outgoing arcs.
     ///
-    /// Built once on first use and cached — `howard_mcr`,
-    /// `maximum_cycle_ratio` and `brute_force_mcr` all reuse it. Do not
+    /// Built once on first use and cached — `maximum_cycle_ratio` and
+    /// `brute_force_mcr` both reuse it. Do not
     /// mutate `arcs` after the first call; the construction API builds the
     /// arc list up front.
     ///
@@ -230,8 +228,7 @@ impl EventGraph {
     }
 }
 
-/// Error of the raw MCR solvers ([`mcr::maximum_cycle_ratio`],
-/// [`howard::howard_mcr`]).
+/// Error of the raw MCR solver ([`mcr::maximum_cycle_ratio`]).
 ///
 /// Carries bare event-graph *vertex indices*: the solvers know nothing about
 /// node names, and eagerly formatting placeholder labels (`"v17"`) on a path
@@ -625,20 +622,16 @@ mod tests {
                 },
             ],
         );
-        for sol in [
-            mcr::maximum_cycle_ratio(&g).unwrap(),
-            howard::howard_mcr(&g).unwrap(),
-        ] {
-            assert!((sol.ratio - 6.0).abs() < 1e-9, "ratio {}", sol.ratio);
-            let cycle = describe_cycle(&dfs, &g, &sol.cycle, &sol.cycle_arcs);
-            assert!(
-                (cycle.delay - 6.0).abs() < 1e-9,
-                "cycle delay {} must come from the traversed heavy arc",
-                cycle.delay
-            );
-            assert_eq!(cycle.tokens, 1);
-            assert!((cycle.period() - sol.ratio).abs() < 1e-9);
-        }
+        let sol = mcr::maximum_cycle_ratio(&g).unwrap();
+        assert!((sol.ratio - 6.0).abs() < 1e-9, "ratio {}", sol.ratio);
+        let cycle = describe_cycle(&dfs, &g, &sol.cycle, &sol.cycle_arcs);
+        assert!(
+            (cycle.delay - 6.0).abs() < 1e-9,
+            "cycle delay {} must come from the traversed heavy arc",
+            cycle.delay
+        );
+        assert_eq!(cycle.tokens, 1);
+        assert!((cycle.period() - sol.ratio).abs() < 1e-9);
     }
 
     /// The degenerate-cycle guards: no NaN from `0/0`, zero throughput for

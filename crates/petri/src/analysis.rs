@@ -6,7 +6,7 @@
 //! functional properties are expressed in the Reach-style language of the
 //! `rap-reach` crate and evaluated over the same state space.
 
-use crate::engine::{EngineConfig, ExploreOutcome, Incidence};
+use crate::engine::{EngineConfig, ExploreOutcome};
 use crate::invariants::certify_complementary_pairs;
 use crate::reachability::{explore, StateId, StateSpace};
 use crate::symmetry::Symmetry;
@@ -28,16 +28,19 @@ pub struct Deadlock {
 /// Returns all dead states (often one suffices for debugging, but incorrect
 /// control initialisation in DFS models typically produces families of dead
 /// states; reporting them all mirrors the tool's behaviour). On a truncated
-/// space only the dead states of the explored prefix are found; its
-/// unexpanded frontier states are not reported.
+/// space its unexpanded frontier states are reported only when they are
+/// dead ([`StateSpace::dead_states`]). In debug builds each reported
+/// marking is checked to enable no transition of `net`.
 #[must_use]
 pub fn find_deadlocks(net: &PetriNet, space: &StateSpace) -> Vec<Deadlock> {
-    dead_states(net, space)
+    space
+        .dead_states()
         .map(|s| Deadlock {
             state: s,
             marking: space.marking(s),
             trace: space.trace_to(s),
         })
+        .inspect(|d| debug_assert!(net.enabled_transitions(&d.marking).is_empty()))
         .collect()
 }
 
@@ -84,9 +87,9 @@ pub fn find_persistence_violations(
         if succs.len() < 2 {
             continue;
         }
-        for &(disabler, after) in succs {
+        for (disabler, after) in succs.clone() {
             space.fill_marking_words(after, &mut after_words);
-            for &(enabled, _) in succs {
+            for (enabled, _) in succs.clone() {
                 if enabled == disabler {
                     continue;
                 }
@@ -106,24 +109,6 @@ pub fn find_persistence_violations(
         }
     }
     out
-}
-
-/// The dead states of `space`, in id order: states with no recorded
-/// successor in which no transition of `net` is enabled. The second half
-/// matters on a truncated space, whose unexpanded frontier states have no
-/// recorded successors but are not dead. For a quotient space the
-/// representative's marking is checked — deadness is orbit-invariant, so
-/// this equals checking any concrete member.
-fn dead_states<'a>(net: &PetriNet, space: &'a StateSpace) -> impl Iterator<Item = StateId> + 'a {
-    let inc = Incidence::from_net(net);
-    let mut words = vec![0u64; space.word_count()];
-    space.states().filter(move |&s| {
-        if !space.successors(s).is_empty() {
-            return false;
-        }
-        space.fill_marking_words(s, &mut words);
-        !(0..inc.transition_count()).any(|t| inc.is_enabled(TransitionId::from_index(t), &words))
-    })
 }
 
 /// Outcome of one property of a budget-bounded [`quick_check`].
@@ -203,10 +188,12 @@ impl QuickCheck {
 /// verdict reports what the exploration established.
 ///
 /// Truncation is handled soundly in both directions: a violation found in
-/// the prefix is a real violation of the net, and a prefix state without
-/// recorded successors is re-checked against the net for enabled
-/// transitions before being called a deadlock — an unexpanded frontier
-/// state of a truncated exploration is *not* a counterexample. When the
+/// the prefix is a real violation of the net, and a state is called a
+/// deadlock only when no transition is enabled in it
+/// ([`StateSpace::dead_states`]) — an unexpanded frontier state of a
+/// truncated exploration, which has no recorded successors, is *not* a
+/// counterexample unless it is dead. For a quotient space the dead states
+/// are representatives: deadness is orbit-invariant. When the
 /// budget or the deadline cut the run and nothing was found, the verdicts
 /// say [`QuickVerdict::Inconclusive`], carrying the state budget in force,
 /// instead of over-claiming. A deadline cut stops at a level-commit
@@ -267,7 +254,7 @@ fn verdicts_over(net: &PetriNet, space: &StateSpace, pairs: &[(PlaceId, PlaceId)
         ExploreOutcome::Truncated { limit } => QuickVerdict::Inconclusive { budget: limit },
     };
 
-    let deadlock = dead_states(net, space).next().map(|s| Deadlock {
+    let deadlock = space.dead_states().next().map(|s| Deadlock {
         state: s,
         marking: space.concrete_marking(s),
         trace: space.concrete_trace_to(s),
@@ -506,6 +493,35 @@ mod tests {
         assert!(qc.truncated);
         assert_eq!(qc.deadlock_free, QuickVerdict::Inconclusive { budget: 3 });
         assert_eq!(qc.safe, QuickVerdict::Inconclusive { budget: 3 });
+    }
+
+    /// A dead state on the unexpanded frontier of a cut run is still a
+    /// deadlock: every state's enabled set is known from its discovery.
+    #[test]
+    fn quick_check_reports_dead_frontier_states() {
+        // a -t0-> b (dead end), a -t1-> c <-> d (live loop); a zero
+        // deadline cuts after the first level, leaving b and c unexpanded
+        let mut net = PetriNet::new();
+        let p: Vec<PlaceId> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| net.add_place(*n, *n == "a"))
+            .collect();
+        for (i, (from, to)) in [(0, 1), (0, 2), (2, 3), (3, 2)].into_iter().enumerate() {
+            let t = net.add_transition(format!("t{i}"));
+            net.consume(t, p[from]);
+            net.produce(t, p[to]);
+        }
+        let cfg = EngineConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..budget(1_000)
+        };
+        let qc = quick_check(&net, &[], &cfg);
+        assert!(qc.truncated);
+        assert_eq!(qc.states, 3);
+        assert_eq!(qc.deadlock_free, QuickVerdict::Violated);
+        let dl = qc.deadlock.expect("the frontier dead end");
+        assert_eq!(dl.trace, vec![TransitionId::from_index(0)]);
+        assert!(dl.marking.is_marked(p[1]));
     }
 
     #[test]

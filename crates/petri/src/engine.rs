@@ -70,8 +70,8 @@
 //! 1-safety over a pair set closed under the permutation — hold in the
 //! quotient iff they hold in the full space. Each state records the
 //! rotation applied at its discovery, so concrete (replayable) witness
-//! traces are reconstructed by un-rotating each step's action
-//! ([`StateSymmetry::unrotate_action`]).
+//! traces are reconstructed by un-rotating each step's action by the
+//! rotation accumulated along the path ([`ExploredGraph::concretize`]).
 
 use crate::{PetriNet, TransitionId};
 use rap_obs::Obs;
@@ -285,6 +285,11 @@ impl EngineStats {
 /// [`ExploredGraph::fill_state`] reconstructs by XOR-ing the delta chain up
 /// the parent links to the nearest anchor (XOR is commutative, so the
 /// walk-down order is free). The initial state is always an anchor.
+///
+/// Every graph-level answer of both backends lives here: traces, their
+/// concrete form under the graph's symmetry, and which states are dead.
+/// `reachability::StateSpace` and `dfs-core::Lts` only decode states and
+/// name the `u32` action and state ids.
 #[derive(Debug, Clone)]
 pub struct ExploredGraph {
     /// Words per state (≥ 1 even for zero-width states).
@@ -309,13 +314,26 @@ pub struct ExploredGraph {
     pub succ_off: Vec<u32>,
     /// Outgoing edges `(action, successor)` in firing order.
     pub succ: Vec<(u32, u32)>,
+    /// The states without an enabled action, ascending. Every state's
+    /// enabled set is known from its discovery, so this covers the
+    /// unexpanded frontier of a cut run too.
+    dead: Vec<u32>,
+    /// The symmetry the graph is a quotient under, if any.
+    symmetry: Option<StateSymmetry>,
     /// How exploration ended.
     outcome: ExploreOutcome,
 }
 
 impl ExploredGraph {
-    fn with_initial(stride: usize, initial: &[u64], rotation: u32, symmetric: bool) -> Self {
-        let mut g = ExploredGraph {
+    fn with_initial(
+        stride: usize,
+        initial: &[u64],
+        rotation: u32,
+        symmetry: Option<&StateSymmetry>,
+    ) -> Self {
+        let symmetric = symmetry.is_some_and(|s| s.order() > 1);
+        let rot = u16::try_from(rotation).expect("rotation fits u16");
+        ExploredGraph {
             stride,
             anchors: initial.to_vec(),
             anchor_slot: vec![0],
@@ -323,15 +341,13 @@ impl ExploredGraph {
             delta_word: Vec::new(),
             delta_xor: Vec::new(),
             parents: vec![(NO_PARENT, 0)],
-            rotations: if symmetric { vec![0] } else { Vec::new() },
+            rotations: if symmetric { vec![rot] } else { Vec::new() },
             succ_off: vec![0],
             succ: Vec::new(),
+            dead: Vec::new(),
+            symmetry: symmetry.cloned(),
             outcome: ExploreOutcome::Complete,
-        };
-        if symmetric {
-            g.rotations[0] = u16::try_from(rotation).expect("rotation fits u16");
         }
-        g
     }
 
     /// Appends a state, stored as an anchor or as a delta against
@@ -367,7 +383,11 @@ impl ExploredGraph {
     }
 
     /// Builds an all-anchor (uncompressed) graph from dense parts — used by
-    /// the naive reference explorers, which keep a dense arena anyway.
+    /// the naive reference explorer, which keeps a dense arena anyway.
+    /// `succ_off` closes the successor rows of the expanded states, in id
+    /// order; the rows of the rest (the frontier of a cut run) are closed
+    /// here, as [`explore`] does. `dead` lists the states without a
+    /// successor, frontier included, ascending.
     ///
     /// # Panics
     ///
@@ -377,12 +397,14 @@ impl ExploredGraph {
         stride: usize,
         arena: Vec<u64>,
         parents: Vec<(u32, u32)>,
-        succ_off: Vec<u32>,
+        mut succ_off: Vec<u32>,
         succ: Vec<(u32, u32)>,
+        dead: Vec<u32>,
         outcome: ExploreOutcome,
     ) -> Self {
         let n = parents.len();
         assert_eq!(arena.len(), n * stride, "arena/parents length mismatch");
+        succ_off.resize(n + 1, succ.len() as u32);
         ExploredGraph {
             stride,
             anchors: arena,
@@ -394,6 +416,8 @@ impl ExploredGraph {
             rotations: Vec::new(),
             succ_off,
             succ,
+            dead,
+            symmetry: None,
             outcome,
         }
     }
@@ -429,6 +453,20 @@ impl ExploredGraph {
         self.outcome.is_truncated()
     }
 
+    /// The symmetry this graph is a quotient under, if any.
+    #[must_use]
+    pub fn symmetry(&self) -> Option<&StateSymmetry> {
+        self.symmetry.as_ref()
+    }
+
+    /// The dead states — those without an enabled action — in id order.
+    /// This includes dead states on the unexpanded frontier of a cut run,
+    /// and never a frontier state with an enabled action, although neither
+    /// has a recorded successor.
+    pub fn dead_states(&self) -> impl Iterator<Item = u32> + '_ {
+        self.dead.iter().copied()
+    }
+
     /// Reconstructs the bitset words of state `i` into `out` (exactly
     /// `stride` words; previous contents are overwritten).
     pub fn fill_state(&self, i: usize, out: &mut [u64]) {
@@ -461,20 +499,22 @@ impl ExploredGraph {
         &self.succ[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
     }
 
+    /// The discovery path of a state, walked up: `(state, action into it)`.
+    fn path_up(&self, mut cur: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        std::iter::from_fn(move || {
+            let (p, a) = self.parents[cur];
+            (p != NO_PARENT).then(|| (std::mem::replace(&mut cur, p as usize), a))
+        })
+    }
+
     /// Action sequence from the initial state to state `i` (over quotient
     /// representatives when exploring with symmetry — see
-    /// [`ExploredGraph::rotation`] for making such a trace concrete).
+    /// [`ExploredGraph::concretize`]).
     #[must_use]
     pub fn trace_to(&self, i: usize) -> Vec<u32> {
-        let mut rev = Vec::new();
-        let mut cur = i;
-        while self.parents[cur].0 != NO_PARENT {
-            let (p, a) = self.parents[cur];
-            rev.push(a);
-            cur = p as usize;
-        }
-        rev.reverse();
-        rev
+        let mut trace: Vec<u32> = self.path_up(i).map(|(_, a)| a).collect();
+        trace.reverse();
+        trace
     }
 
     /// The symmetry rotation applied when state `i` was canonicalized at
@@ -484,11 +524,153 @@ impl ExploredGraph {
         self.rotations.get(i).copied().map_or(0, u32::from)
     }
 
+    /// Quotient concretisation of state `i`: the action sequence of the
+    /// *original* system from its initial state to a concrete member of
+    /// `i`'s orbit, and the cumulative rotation `R` — the discovery
+    /// rotations along the path, summed modulo the group order — that
+    /// un-rotates the representative into that member. Without symmetry:
+    /// [`ExploredGraph::trace_to`] and 0. A quotient step fires `a` in its
+    /// parent's frame, so its concrete action is `g^-R(a)`, `R` the
+    /// parent's cumulative rotation (see the module docs).
+    #[must_use]
+    pub fn concretize(&self, i: usize) -> (Vec<u32>, u32) {
+        let Some(sym) = &self.symmetry else {
+            return (self.trace_to(i), 0);
+        };
+        let order = sym.order() as u32;
+        let path: Vec<(usize, u32)> = self.path_up(i).collect();
+        let mut r = self.rotation(0);
+        let trace = path
+            .iter()
+            .rev()
+            .map(|&(c, a)| {
+                let concrete = sym.unrotate_action(r, a);
+                r = (r + self.rotation(c)) % order;
+                concrete
+            })
+            .collect();
+        (trace, r)
+    }
+
     /// Number of states stored as full anchors (diagnostics/tests).
     #[must_use]
     pub fn anchor_count(&self) -> usize {
         self.anchor_slot.iter().filter(|&&s| s != DELTA).count()
     }
+}
+
+/// The outgoing edges of one state as typed `(action, successor)` pairs,
+/// decoded off the graph's CSR edge list as they are read.
+#[derive(Clone)]
+pub struct Successors<'a, A, S> {
+    edges: std::slice::Iter<'a, (u32, u32)>,
+    actions: &'a [A],
+    state: fn(u32) -> S,
+}
+
+impl<'a, A, S> Successors<'a, A, S> {
+    /// Decodes one state's edge row ([`ExploredGraph::successors`]):
+    /// actions through a view's `actions` table, successors through `state`.
+    #[must_use]
+    pub fn new(row: &'a [(u32, u32)], actions: &'a [A], state: fn(u32) -> S) -> Self {
+        Successors {
+            edges: row.iter(),
+            actions,
+            state,
+        }
+    }
+
+    /// Are there no edges left?
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.edges.len() == 0
+    }
+}
+
+impl<A: Copy, S> Iterator for Successors<'_, A, S> {
+    type Item = (A, S);
+
+    fn next(&mut self) -> Option<(A, S)> {
+        let &(a, s) = self.edges.next()?;
+        Some((self.actions[a as usize], (self.state)(s)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.edges.size_hint()
+    }
+}
+
+impl<A: Copy, S> ExactSizeIterator for Successors<'_, A, S> {}
+
+/// Equal when both yield the same edges.
+impl<A: Copy + PartialEq, S: Clone + PartialEq> PartialEq for Successors<'_, A, S> {
+    fn eq(&self, other: &Self) -> bool {
+        Iterator::eq(self.clone(), other.clone())
+    }
+}
+
+impl<A: Copy + std::fmt::Debug, S: Clone + std::fmt::Debug> std::fmt::Debug
+    for Successors<'_, A, S>
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+/// The reference explorer both backends keep as the engine's test oracle
+/// and the `state_space_scaling` baseline: a plain one-state-at-a-time BFS
+/// over owned states, deduplicated by cloned keys in a `HashMap`.
+/// `successors` lists a state's `(action, successor)` pairs in firing
+/// order and `encode` packs a state into its `stride` pre-zeroed words. At
+/// most `max_states` states are stored; the edge that would store one more
+/// stops the run, after the edges found before it in the same state.
+pub fn explore_naive<T: Clone + Eq + std::hash::Hash>(
+    initial: T,
+    max_states: usize,
+    stride: usize,
+    mut successors: impl FnMut(&T) -> Vec<(u32, T)>,
+    mut encode: impl FnMut(&T, &mut [u64]),
+) -> ExploredGraph {
+    use std::collections::hash_map::{Entry, HashMap};
+    let mut index = HashMap::from([(initial.clone(), 0u32)]);
+    let mut states = vec![initial];
+    let mut parents = vec![(NO_PARENT, 0)];
+    let (mut succ_off, mut succ) = (vec![0u32], Vec::new());
+    let mut outcome = ExploreOutcome::Complete;
+    // states are expanded in id order (BFS order), each closing its row
+    'bfs: while succ_off.len() <= states.len() {
+        let cur = succ_off.len() - 1;
+        for (action, next) in successors(&states[cur]) {
+            let id = match index.entry(next) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    if states.len() >= max_states {
+                        outcome = ExploreOutcome::Truncated { limit: max_states };
+                        break 'bfs;
+                    }
+                    states.push(e.key().clone());
+                    parents.push((cur as u32, action));
+                    *e.insert(states.len() as u32 - 1)
+                }
+            };
+            succ.push((action, id));
+        }
+        succ_off.push(succ.len() as u32);
+    }
+    // an expanded state (closed row) is dead when its row is empty; a
+    // frontier state (the one cut mid-row included) when it has no successor
+    let dead = (0..states.len())
+        .filter(|&i| match succ_off.get(i + 1) {
+            Some(&end) => succ_off[i] == end,
+            None => successors(&states[i]).is_empty(),
+        })
+        .map(|i| i as u32)
+        .collect();
+    let mut arena = vec![0u64; states.len() * stride];
+    for (state, words) in states.iter().zip(arena.chunks_mut(stride)) {
+        encode(state, words);
+    }
+    ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, dead, outcome)
 }
 
 /// Multiplicative word mixer (splitmix-style) over a state slice.
@@ -808,7 +990,10 @@ where
         (init, rot0, en0)
     };
 
-    let mut g = ExploredGraph::with_initial(stride, &init, rot0, sym.is_some());
+    let mut g = ExploredGraph::with_initial(stride, &init, rot0, symmetry);
+    if en0.iter().all(|&w| w == 0) {
+        g.dead.push(0);
+    }
     let mut index = ShardIndex::new(threads.max(8) * 8, stride, astride);
     match index.probe_or_insert(
         hash_words(&init),
@@ -1003,6 +1188,9 @@ where
                                         e.action,
                                         e.rotation,
                                     );
+                                    if en.iter().all(|&w| w == 0) {
+                                        g.dead.push(id);
+                                    }
                                     next_words.extend_from_slice(w);
                                     next_en.extend_from_slice(en);
                                     index.assign(h, id);
@@ -1043,10 +1231,8 @@ where
         level_num += 1;
     }
 
-    // close offsets of states that were never (or only partially) expanded
-    while g.succ_off.len() < g.len() + 1 {
-        g.succ_off.push(g.succ.len() as u32);
-    }
+    // close the rows of states never (or only partly) expanded
+    g.succ_off.resize(g.len() + 1, g.succ.len() as u32);
 
     if obs.is_enabled() {
         obs.add("engine.levels", levels_done);
@@ -1488,8 +1674,7 @@ mod tests {
                     assert_eq!(g.state_vec(i), words, "{ctx}: state {i}");
                     let edges: Vec<(u32, u32)> = naive
                         .successors(s)
-                        .iter()
-                        .map(|&(t, n)| (t.index() as u32, n.index() as u32))
+                        .map(|(t, n)| (t.index() as u32, n.index() as u32))
                         .collect();
                     assert_eq!(g.successors(i), edges.as_slice(), "{ctx}: edges {i}");
                     let trace: Vec<u32> =

@@ -11,8 +11,8 @@
 //!
 //! * [`explore`] runs the shared state-space engine ([`crate::engine`]) —
 //!   parallel, delta-compressed, bit-identical at every thread count — under
-//!   one [`EngineConfig`] (state budget, threads, anchors, deadline,
-//!   recorder). With a cyclic symmetry of the net (wagged replicas — see
+//!   one [`EngineConfig`] (state budget, threads, deadline, recorder).
+//!   With a cyclic symmetry of the net (wagged replicas — see
 //!   [`crate::symmetry`]) it explores the rotation *quotient* instead:
 //!   states are canonicalized to the lexicographically-least rotation
 //!   before dedup, cutting the space by up to the group order while
@@ -26,10 +26,8 @@
 //! reported by [`StateSpace::outcome`], and callers that need an error map
 //! [`ExploreOutcome::Truncated`](engine::ExploreOutcome) themselves.
 
-use crate::engine::{self, EngineConfig, ExploredGraph, NetSystem, StateSymmetry, NO_PARENT};
+use crate::engine::{self, EngineConfig, ExploredGraph, NetSystem, StateSymmetry, Successors};
 use crate::{Marking, PetriNet, TransitionId};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
 
 /// Dense id of a state discovered during exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,29 +59,31 @@ impl StateId {
 /// reconstruct into caller-owned buffers for allocation-free scans
 /// (reconstruction walks the XOR-delta chain to the nearest anchor — cheap,
 /// but no longer a borrow, which is why there is no `marking_words`
-/// accessor returning a slice).
+/// accessor returning a slice). Traces, quotient concretisation and the
+/// dead-state rule are the graph's; this view only names its `u32` action
+/// and state ids as [`TransitionId`]s and [`StateId`]s.
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     places: usize,
     graph: ExploredGraph,
-    succ: Vec<(TransitionId, StateId)>,
-    /// Present when this is a quotient space: the symmetry that was used to
-    /// canonicalize states, needed to make traces/markings concrete again.
-    symmetry: Option<StateSymmetry>,
+    /// The label of each engine action id.
+    transitions: Vec<TransitionId>,
 }
 
 impl StateSpace {
-    fn from_graph(mut g: ExploredGraph, places: usize, symmetry: Option<StateSymmetry>) -> Self {
-        let succ = std::mem::take(&mut g.succ)
-            .into_iter()
-            .map(|(a, s)| (TransitionId::from_index(a as usize), StateId(s)))
-            .collect();
+    fn from_graph(graph: ExploredGraph, net: &PetriNet) -> Self {
         StateSpace {
-            places,
-            graph: g,
-            succ,
-            symmetry,
+            places: net.place_count(),
+            graph,
+            transitions: net.transitions().collect(),
         }
+    }
+
+    fn label(&self, actions: Vec<u32>) -> Vec<TransitionId> {
+        actions
+            .into_iter()
+            .map(|a| self.transitions[a as usize])
+            .collect()
     }
 
     /// Number of reachable states discovered (orbit representatives for a
@@ -115,7 +115,7 @@ impl StateSpace {
     /// The symmetry this space is a quotient under, if any.
     #[must_use]
     pub fn symmetry(&self) -> Option<&StateSymmetry> {
-        self.symmetry.as_ref()
+        self.graph.symmetry()
     }
 
     /// Words per packed marking — the scratch width for
@@ -128,7 +128,11 @@ impl StateSpace {
     /// The marking of `state`, materialised from the compressed store.
     #[must_use]
     pub fn marking(&self, state: StateId) -> Marking {
-        let mut words = self.graph.state_vec(state.index());
+        self.to_marking(self.graph.state_vec(state.index()))
+    }
+
+    /// A marking from a state's padded graph words.
+    fn to_marking(&self, mut words: Vec<u64>) -> Marking {
         words.truncate(self.places.div_ceil(64));
         Marking::from_words(words, self.places)
     }
@@ -164,9 +168,7 @@ impl StateSpace {
     /// per place.
     #[must_use]
     pub fn is_marked(&self, state: StateId, place: crate::PlaceId) -> bool {
-        let mut tmp = vec![0u64; self.graph.stride()];
-        self.graph.fill_state(state.index(), &mut tmp);
-        engine::get_bit(&tmp, place.index())
+        engine::get_bit(&self.graph.state_vec(state.index()), place.index())
     }
 
     /// The initial state.
@@ -180,11 +182,18 @@ impl StateSpace {
         (0..self.graph.len() as u32).map(StateId)
     }
 
-    /// Outgoing edges `(transition, successor)` of `state`.
+    /// Outgoing edges `(transition, successor)` of `state`, in firing order.
     #[must_use]
-    pub fn successors(&self, state: StateId) -> &[(TransitionId, StateId)] {
-        let i = state.index();
-        &self.succ[self.graph.succ_off[i] as usize..self.graph.succ_off[i + 1] as usize]
+    pub fn successors(&self, state: StateId) -> Successors<'_, TransitionId, StateId> {
+        let row = self.graph.successors(state.index());
+        Successors::new(row, &self.transitions, StateId)
+    }
+
+    /// The deadlocks — states with no enabled transition — in id order,
+    /// on the unexpanded frontier of a truncated space too (see
+    /// [`ExploredGraph::dead_states`]).
+    pub fn dead_states(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.graph.dead_states().map(StateId)
     }
 
     /// Reconstructs the firing sequence from the initial state to `state`.
@@ -195,11 +204,7 @@ impl StateSpace {
     /// sequence of the original net.
     #[must_use]
     pub fn trace_to(&self, state: StateId) -> Vec<TransitionId> {
-        self.graph
-            .trace_to(state.index())
-            .into_iter()
-            .map(|a| TransitionId::from_index(a as usize))
-            .collect()
+        self.label(self.graph.trace_to(state.index()))
     }
 
     /// The symmetry rotation applied when `state` was canonicalized at
@@ -211,62 +216,25 @@ impl StateSpace {
 
     /// A firing sequence of the *original* net from its concrete initial
     /// marking to a concrete member of `state`'s orbit (that member is
-    /// [`StateSpace::concrete_marking`]). Falls back to
-    /// [`StateSpace::trace_to`] when this is not a quotient space.
-    ///
-    /// Each quotient step fires action `a` in the representative's frame;
-    /// un-rotating by the cumulative rotation `R` accumulated along the
-    /// path (`b = g^-R(a)`, then `R +=` the step's canonicalization
-    /// rotation) yields the concrete firing — see the soundness argument in
-    /// the [`crate::engine`] docs.
+    /// [`StateSpace::concrete_marking`]). Equals [`StateSpace::trace_to`]
+    /// when this is not a quotient space (see [`ExploredGraph::concretize`]).
     #[must_use]
     pub fn concrete_trace_to(&self, state: StateId) -> Vec<TransitionId> {
-        let Some(sym) = &self.symmetry else {
-            return self.trace_to(state);
-        };
-        let mut path = vec![state.index()];
-        while self.graph.parents[*path.last().expect("non-empty path")].0 != NO_PARENT {
-            path.push(self.graph.parents[*path.last().expect("non-empty path")].0 as usize);
-        }
-        path.reverse();
-        let order = sym.order() as u32;
-        let mut rot = self.graph.rotation(path[0]);
-        let mut out = Vec::with_capacity(path.len() - 1);
-        for &child in &path[1..] {
-            let a = self.graph.parents[child].1;
-            out.push(TransitionId::from_index(
-                sym.unrotate_action(rot, a) as usize
-            ));
-            rot = (rot + self.graph.rotation(child)) % order;
-        }
-        out
+        self.label(self.graph.concretize(state.index()).0)
     }
 
     /// The concrete marking reached by [`StateSpace::concrete_trace_to`]:
-    /// the representative of `state` un-rotated by the cumulative rotation
-    /// along its discovery path. Equals [`StateSpace::marking`] outside
-    /// quotient spaces.
+    /// the representative of `state` un-rotated by its cumulative rotation.
+    /// Equals [`StateSpace::marking`] outside quotient spaces.
     #[must_use]
     pub fn concrete_marking(&self, state: StateId) -> Marking {
-        let Some(sym) = &self.symmetry else {
-            return self.marking(state);
-        };
-        let order = sym.order() as u32;
-        let mut rot = 0u32;
-        let mut cur = state.index();
-        loop {
-            rot = (rot + self.graph.rotation(cur)) % order;
-            let (p, _) = self.graph.parents[cur];
-            if p == NO_PARENT {
-                break;
-            }
-            cur = p as usize;
-        }
         let rep = self.graph.state_vec(state.index());
-        let mut words = vec![0u64; self.graph.stride()];
-        sym.unapply_state(rot, &rep, &mut words);
-        words.truncate(self.places.div_ceil(64));
-        Marking::from_words(words, self.places)
+        let Some(sym) = self.graph.symmetry() else {
+            return self.to_marking(rep);
+        };
+        let mut words = vec![0u64; rep.len()];
+        sym.unapply_state(self.graph.concretize(state.index()).1, &rep, &mut words);
+        self.to_marking(words)
     }
 
     /// Finds a state whose marking satisfies `pred`, if any, scanning in BFS
@@ -301,76 +269,34 @@ pub fn explore(
     symmetry: Option<&StateSymmetry>,
 ) -> StateSpace {
     let graph = engine::explore(|| NetSystem::new(net), config, symmetry);
-    StateSpace::from_graph(graph, net.place_count(), symmetry.cloned())
+    StateSpace::from_graph(graph, net)
 }
 
 /// The original (pre-engine) explorer, up to `max_states` markings: full
 /// transition scan per state, cloned [`Marking`] keys in a `HashMap` dedup
-/// index.
+/// index ([`engine::explore_naive`]).
 ///
-/// Retained verbatim as the reference implementation: the equivalence
-/// property tests check the engine against it state-for-state, and the
+/// Retained as the reference implementation: the equivalence property
+/// tests check the engine against it state-for-state, and the
 /// `state_space_scaling` benchmark reports speedups relative to it. Use
 /// [`explore`] everywhere else.
 #[must_use]
 pub fn explore_naive(net: &PetriNet, max_states: usize) -> StateSpace {
-    let m0 = net.initial_marking();
-    let mut index: HashMap<Marking, StateId> = HashMap::new();
-    let mut markings = vec![m0.clone()];
-    let mut parents: Vec<(u32, u32)> = vec![(NO_PARENT, 0)];
-    let mut successors: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
-    index.insert(m0, StateId(0));
-
-    let mut queue = VecDeque::new();
-    queue.push_back(StateId(0));
-    let mut outcome = engine::ExploreOutcome::Complete;
-
-    'bfs: while let Some(s) = queue.pop_front() {
-        let marking = markings[s.index()].clone();
-        for t in net.transitions() {
-            if !net.is_enabled(t, &marking) {
-                continue;
-            }
-            let next = net.fire(t, &marking).expect("enabled transition must fire");
-            let succ = match index.entry(next) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if markings.len() >= max_states {
-                        outcome = engine::ExploreOutcome::Truncated { limit: max_states };
-                        break 'bfs;
-                    }
-                    let id = StateId(markings.len() as u32);
-                    markings.push(e.key().clone());
-                    parents.push((s.0, t.index() as u32));
-                    successors.push(Vec::new());
-                    queue.push_back(id);
-                    e.insert(id);
-                    id
-                }
-            };
-            successors[s.index()].push((t.index() as u32, succ.0));
-        }
-    }
-
-    // pack into the graph representation shared with the engine path
-    let places = net.place_count();
-    let stride = places.div_ceil(64).max(1);
-    let mut arena = Vec::with_capacity(markings.len() * stride);
-    for m in &markings {
-        let words = m.words();
-        arena.extend_from_slice(words);
-        arena.extend(std::iter::repeat_n(0u64, stride - words.len()));
-    }
-    let mut succ_off = Vec::with_capacity(markings.len() + 1);
-    let mut succ = Vec::new();
-    succ_off.push(0u32);
-    for row in &successors {
-        succ.extend_from_slice(row);
-        succ_off.push(succ.len() as u32);
-    }
-
-    let graph = ExploredGraph::from_dense(stride, arena, parents, succ_off, succ, outcome);
-    StateSpace::from_graph(graph, places, None)
+    let stride = net.place_count().div_ceil(64).max(1);
+    let fire_all = |m: &Marking| {
+        net.transitions()
+            .filter(|&t| net.is_enabled(t, m))
+            .map(|t| {
+                (
+                    t.index() as u32,
+                    net.fire(t, m).expect("enabled transition must fire"),
+                )
+            })
+            .collect()
+    };
+    let encode = |m: &Marking, out: &mut [u64]| out[..m.words().len()].copy_from_slice(m.words());
+    let graph = engine::explore_naive(net.initial_marking(), max_states, stride, fire_all, encode);
+    StateSpace::from_graph(graph, net)
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ fn assert_identical(a: &ExploredGraph, b: &ExploredGraph, ctx: &str) {
     assert_eq!(a.parents, b.parents, "{ctx}: parent attribution");
     assert_eq!(a.succ_off, b.succ_off, "{ctx}: CSR offsets");
     assert_eq!(a.succ, b.succ, "{ctx}: edge order");
+    assert!(a.dead_states().eq(b.dead_states()), "{ctx}: dead states");
     for i in 0..a.len() {
         assert_eq!(a.state_vec(i), b.state_vec(i), "{ctx}: state {i}");
     }
@@ -56,8 +57,7 @@ fn assert_matches_naive(g: &ExploredGraph, naive: &StateSpace, ctx: &str) {
         assert_eq!(g.state_vec(i), words, "{ctx}: state {i}");
         let edges: Vec<(u32, u32)> = naive
             .successors(s)
-            .iter()
-            .map(|&(t, n)| (t.index() as u32, n.index() as u32))
+            .map(|(t, n)| (t.index() as u32, n.index() as u32))
             .collect();
         assert_eq!(g.successors(i), edges.as_slice(), "{ctx}: edges of {i}");
         let trace: Vec<u32> = naive.trace_to(s).iter().map(|t| t.index() as u32).collect();

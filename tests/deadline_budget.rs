@@ -34,14 +34,14 @@ fn fingerprint(space: &StateSpace) -> Vec<Row<Vec<u64>, (TransitionId, StateId)>
         .states()
         .map(|s| {
             space.fill_marking_words(s, &mut raw);
-            (raw.clone(), space.successors(s).to_vec())
+            (raw.clone(), space.successors(s).collect())
         })
         .collect()
 }
 
 fn lts_fingerprint(lts: &Lts) -> Vec<Row<DfsState, (Event, LtsStateId)>> {
     lts.states()
-        .map(|s| (lts.state(s), lts.successors(s).to_vec()))
+        .map(|s| (lts.state(s), lts.successors(s).collect()))
         .collect()
 }
 

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rap::dfs::pipelines::{build_pipeline, PipelineSpec};
 use rap::dfs::wagging::wagged_pipeline;
-use rap::dfs::{to_petri, Dfs, DfsState, Lts};
+use rap::dfs::{to_petri, Dfs, DfsBuilder, DfsState, Lts, TokenValue};
 use rap::petri::engine::EngineConfig;
 use rap::petri::reachability::{explore, explore_naive, StateSpace};
 use rap::petri::{PetriNet, PlaceId};
@@ -59,6 +59,43 @@ fn arb_net(np: usize, nt: usize) -> impl Strategy<Value = PetriNet> {
     })
 }
 
+/// A random small DFS model (at most 8 nodes, so at most 3^8 states): kinds,
+/// initial tokens and edges drawn freely, which makes for choices and for
+/// deadlocks at every depth. Invalid graphs (combinational cycles) are
+/// filtered out.
+fn arb_dfs() -> impl Strategy<Value = Dfs> {
+    let nodes = proptest::collection::vec((0u8..5, any::<(bool, bool)>()), 3..8);
+    let edges = proptest::collection::vec((0usize..8, 0usize..8), 2..14);
+    (nodes, edges).prop_filter_map("invalid model", |(nodes, edges)| {
+        let mut b = DfsBuilder::new();
+        let ids: Vec<_> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, (marked, value)))| {
+                let name = format!("n{i}");
+                let nb = match kind {
+                    0 => return b.logic(name).build(),
+                    1 => b.register(name),
+                    2 => b.control(name),
+                    3 => b.push(name),
+                    _ => b.pop(name),
+                };
+                match (marked, kind) {
+                    (false, _) => nb.build(),
+                    (true, 1) => nb.marked().build(),
+                    (true, _) => nb.marked_with(TokenValue::from(value)).build(),
+                }
+            })
+            .collect();
+        for (from, to) in edges {
+            if from < ids.len() && to < ids.len() && from != to {
+                b.connect(ids[from], ids[to]);
+            }
+        }
+        b.finish().ok()
+    })
+}
+
 /// Random paper-flow pipeline: 2–3 stages, random reconfigurability pattern
 /// and inclusion depth.
 fn arb_pipeline() -> impl Strategy<Value = Dfs> {
@@ -88,6 +125,7 @@ fn assert_pn_equivalent(net: &PetriNet, max_states: usize) -> Result<(), TestCas
         prop_assert_eq!(&engine.marking(a), &naive.marking(b));
         prop_assert_eq!(engine.successors(a), naive.successors(b));
     }
+    prop_assert_eq!(pn_dead(&engine), pn_dead(&naive));
     replay_traces(net, &engine)?;
     Ok(())
 }
@@ -115,6 +153,7 @@ fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseErr
         prop_assert_eq!(&engine.state(a), &naive.state(b));
         prop_assert_eq!(engine.successors(a), naive.successors(b));
     }
+    prop_assert_eq!(lts_dead(&engine), lts_dead(&naive));
     // counterexample-trace replay through the semantics
     for s in engine.states() {
         let mut st = DfsState::initial(dfs);
@@ -125,6 +164,73 @@ fn assert_lts_equivalent(dfs: &Dfs, max_states: usize) -> Result<(), TestCaseErr
         prop_assert_eq!(&st, &engine.state(s));
     }
     Ok(())
+}
+
+/// The dead states of a Petri exploration, as indices in id order.
+fn pn_dead(space: &StateSpace) -> Vec<usize> {
+    space.dead_states().map(|s| s.index()).collect()
+}
+
+/// The deadlocks of an LTS, as indices in id order.
+fn lts_dead(lts: &Lts) -> Vec<usize> {
+    lts.deadlocks().iter().map(|s| s.index()).collect()
+}
+
+/// Budgets of the truncated dead-state sweeps: from the initial state
+/// alone to past the mid-size models' complete spaces.
+const DEAD_SWEEP: [usize; 10] = [1, 2, 3, 5, 8, 13, 50, 200, 1_000, 5_000];
+
+/// Dead states under truncation for one backend. `dead_at(cap)` runs the
+/// engine and the naive explorer at budget `cap` and returns whether the
+/// run was cut and both dead sets. At every budget the two explorers
+/// agree, and every state dead in a cut run is dead, under the same id, in
+/// the complete run (`usize::MAX` must complete).
+fn assert_dead_states_stable(
+    ctx: &str,
+    budgets: &[usize],
+    dead_at: impl Fn(usize) -> (bool, Vec<usize>, Vec<usize>),
+) -> Result<(), TestCaseError> {
+    let (cut, complete, naive) = dead_at(usize::MAX);
+    prop_assert!(!cut, "{}: the reference run must be complete", ctx);
+    prop_assert_eq!(&complete, &naive, "{}: complete run", ctx);
+    for &cap in budgets {
+        let (_, engine, naive) = dead_at(cap);
+        prop_assert_eq!(&engine, &naive, "{}: budget {}", ctx, cap);
+        for s in &engine {
+            prop_assert!(
+                complete.contains(s),
+                "{}: budget {}: state {} is dead only in the cut run",
+                ctx,
+                cap,
+                s
+            );
+        }
+    }
+    Ok(())
+}
+
+fn assert_pn_dead_states_stable(
+    ctx: &str,
+    net: &PetriNet,
+    budgets: &[usize],
+) -> Result<(), TestCaseError> {
+    assert_dead_states_stable(ctx, budgets, |cap| {
+        let engine = explore(net, &budget(cap), None);
+        let naive = explore_naive(net, cap);
+        (engine.is_truncated(), pn_dead(&engine), pn_dead(&naive))
+    })
+}
+
+fn assert_lts_dead_states_stable(
+    ctx: &str,
+    dfs: &Dfs,
+    budgets: &[usize],
+) -> Result<(), TestCaseError> {
+    assert_dead_states_stable(ctx, budgets, |cap| {
+        let engine = Lts::explore(dfs, &budget(cap), None);
+        let naive = Lts::explore_naive(dfs, cap);
+        (engine.is_truncated(), lts_dead(&engine), lts_dead(&naive))
+    })
 }
 
 proptest! {
@@ -160,6 +266,34 @@ proptest! {
             prop_assert_eq!(pn.len(), lts.len());
         }
     }
+
+    /// Random raw nets (at most 2^9 markings, so every reference run
+    /// completes): the dead states of each cut run are the naive
+    /// explorer's, and dead in the complete run.
+    #[test]
+    fn random_nets_truncated_dead_states_are_stable(net in arb_net(9, 8)) {
+        assert_pn_dead_states_stable("random net", &net, &DEAD_SWEEP[..7])?;
+    }
+
+    /// The same on random DFS models, on both backends.
+    #[test]
+    fn random_models_truncated_dead_states_are_stable(dfs in arb_dfs()) {
+        assert_pn_dead_states_stable("petri", &to_petri(&dfs).net, &DEAD_SWEEP)?;
+        assert_lts_dead_states_stable("lts", &dfs, &DEAD_SWEEP)?;
+    }
+}
+
+/// Both backends of the deadlock-free `reconfigurable_depth(2,2)` pipeline
+/// (1,536 states) over the budget sweep: no cut run reports a dead state —
+/// its frontier is unexpanded, not stuck.
+#[test]
+fn truncated_live_pipeline_has_no_dead_states() {
+    let spec = PipelineSpec::reconfigurable_depth(2, 2).unwrap();
+    let dfs = build_pipeline(&spec).unwrap().dfs;
+    let net = to_petri(&dfs).net;
+    assert_pn_dead_states_stable("petri", &net, &DEAD_SWEEP).unwrap();
+    assert_lts_dead_states_stable("lts", &dfs, &DEAD_SWEEP).unwrap();
+    assert_eq!(pn_dead(&explore(&net, &budget(usize::MAX), None)), []);
 }
 
 /// The deterministic `perf_cross_check.rs` shapes: wagged pipelines stress
